@@ -233,7 +233,7 @@ def _validate(values: dict[str, object], present: set[tuple[str, str]]) -> dict[
                                  f"multiple of batch_size ({values['batch_size']})")
     if values["batch_size"] > 8:
         raise ConfigurationError("batch_size is limited to 8 (metric assignment "
-                                 "is brute-force)")
+                                 "takes at most 8 images)")
     if method == "ig" and values["lambda_as"] != 0:
         raise ConfigurationError("method 'ig' requires lambda_as = 0")
     if method == "dlg" and (values["lambda_as"] != 0 or values["lambda_tv"] != 0):

@@ -67,15 +67,15 @@ def gradient_matching(pred: GradientVector, target: GradientVector,
         total = None
         for p, t in zip(pred.tensors, target.tensors):
             d = tt.sub(p, t)
-            s = tt.mul(d, d).sum()
+            s = tt.dot(d, d)
             total = s if total is None else tt.add(total, s)
         return total
     if kind == "cosine":
         dot = n_pred = n_tgt = None
         for p, t in zip(pred.tensors, target.tensors):
-            d = tt.mul(p, t).sum()
-            a = tt.mul(p, p).sum()
-            b = tt.mul(t, t).sum()
+            d = tt.dot(p, t)
+            a = tt.dot(p, p)
+            b = tt.dot(t, t)
             dot = d if dot is None else tt.add(dot, d)
             n_pred = a if n_pred is None else tt.add(n_pred, a)
             n_tgt = b if n_tgt is None else tt.add(n_tgt, b)
@@ -102,7 +102,7 @@ def tv_loss(x: Tensor, reduction: str = "sum") -> Tensor:
     n, c, h, w = x.shape
     dx = tt.sub(tt.slice_hw(x, 0, h, 1, w), tt.slice_hw(x, 0, h, 0, w - 1))
     dy = tt.sub(tt.slice_hw(x, 1, h, 0, w), tt.slice_hw(x, 0, h - 1, 0, w))
-    total = tt.add(tt.mul(dx, dx).sum(), tt.mul(dy, dy).sum())
+    total = tt.add(tt.dot(dx, dx), tt.dot(dy, dy))
     if reduction == "mean":
         return tt.mul(total, 1.0 / x.size)
     return total

@@ -7,7 +7,6 @@ aggregation excludes infinite entries from means and reports their count.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +93,17 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0,
 def optimal_assignment(recovered: np.ndarray, truth: np.ndarray) -> tuple[int, ...]:
     """Pairing of recovered images to truth images maximizing total PSNR.
 
-    Brute force over permutations; restricted to batches of at most 8.
-    Element i of the result is the truth index matched to recovered[i].
-    Exact matches score +inf, so pairings are ranked first by how many
-    exact matches they contain and then by the finite PSNR sum.
+    Element i of the result is the truth index matched to recovered[i];
+    batches hold at most 8 images.  Exact matches score +inf, so pairings
+    are ranked first by how many exact matches they contain and then by the
+    sum of their finite PSNRs, added in row order; among equal keys the
+    lexicographically first pairing wins.
+
+    A dynamic program over subsets of truth indices (about 2^n * n steps)
+    gives the same pairing as trying all n! of them.  Rows are assigned in
+    order; for a set of used truth indices, a partial pairing whose sum
+    trails the best by more than the rounding the remaining additions can
+    absorb can never tie or win, and is dropped.
     """
     recovered, truth = np.asarray(recovered), np.asarray(truth)
     if recovered.shape != truth.shape:
@@ -106,19 +112,40 @@ def optimal_assignment(recovered: np.ndarray, truth: np.ndarray) -> tuple[int, .
     if n < 1:
         raise ArgumentError("assignment of an empty batch")
     if n > 8:
-        raise ArgumentError(f"brute-force assignment is limited to 8 images, got {n}")
+        raise ArgumentError(f"assignment is limited to 8 images, got {n}")
     score = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             score[i, j] = psnr(recovered[i], truth[j])
-    best, best_perm = None, None
-    for perm in itertools.permutations(range(n)):
-        vals = [score[i, perm[i]] for i in range(n)]
-        key = (sum(np.isinf(v) for v in vals),
-               sum(v for v in vals if np.isfinite(v)))
-        if best is None or key > best:
-            best, best_perm = key, perm
-    return best_perm
+    finite = np.where(np.isfinite(score), np.abs(score), 0.0)
+    # every partial sum lies within `bound`, so each addition rounds by at
+    # most half a spacing there; n additions cannot close a wider gap
+    bound = float(finite.max(axis=1).sum())
+    slack = 2 * n * np.spacing(2 * bound)
+    # cands[mask]: (key, pairing) of rows 0..popcount-1 onto the truth
+    # indices in mask, key = (exact matches, finite sum)
+    cands: dict[int, list] = {0: [((0, 0.0), ())]}
+    full = (1 << n) - 1
+    for mask in range(full):        # adding an index only raises the mask
+        top = max(key for key, _ in cands[mask])
+        kept: dict[tuple, tuple] = {}
+        for key, pairing in cands.pop(mask):
+            if key[0] == top[0] and key[1] >= top[1] - slack:
+                kept[key] = min(pairing, kept.get(key, pairing))
+        for (exact, total), pairing in kept.items():
+            row = score[len(pairing)]
+            for j in range(n):
+                if mask >> j & 1:
+                    continue
+                if np.isinf(row[j]):
+                    key = (exact + 1, total)
+                elif np.isfinite(row[j]):
+                    key = (exact, total + row[j])
+                else:
+                    key = (exact, total)
+                cands.setdefault(mask | 1 << j, []).append((key, pairing + (j,)))
+    top = max(key for key, _ in cands[full])
+    return min(pairing for key, pairing in cands[full] if key == top)
 
 
 @dataclass(frozen=True)
@@ -140,9 +167,10 @@ def evaluate_batch(recovered: np.ndarray, truth: np.ndarray,
                    ssim_window: int = 11) -> MetricReport:
     """Score a recovered batch against the ground truth.
 
-    With ``assignment`` the batch is re-paired by optimal MSE first, since
-    gradient averaging makes recovered image order arbitrary; without it
-    images are compared position by position.
+    With ``assignment`` the batch is first re-paired to maximize total PSNR
+    (see ``optimal_assignment``), since gradient averaging makes recovered
+    image order arbitrary; without it images are compared position by
+    position.
     """
     recovered, truth = np.asarray(recovered), np.asarray(truth)
     if recovered.shape != truth.shape:

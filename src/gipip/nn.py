@@ -173,38 +173,25 @@ def _check_images(images: Tensor, in_shape) -> None:
         raise DimensionError("empty batch")
 
 
-def _fc_apply(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    n = x.shape[0]
-    k = w.shape[0]
-    z = tt.matmul(x, tt.transpose(w))
-    return z + tt.broadcast_to(tt.reshape(b, (1, k)), (n, k))
-
-
-def _conv_apply(x: Tensor, w: Tensor, b: Tensor, stride: int, padding: int) -> Tensor:
-    z = tt.conv2d(x, w, stride=stride, padding=padding)
-    o = w.shape[0]
-    return z + tt.broadcast_to(tt.reshape(b, (1, o, 1, 1)), z.shape)
-
-
 def forward_classifier(params: ClassifierParams, images: Tensor) -> Tensor:
     """Logits [N, num_classes] for a batch of images."""
     _check_images(images, params.in_shape)
     n = images.shape[0]
     d = images.size // n
+    p = params.tensor
     if params.arch == "dense1":
         x = tt.reshape(images, (n, d))
-        return _fc_apply(x, params.tensor("fc_w"), params.tensor("fc_b"))
+        return tt.linear(x, p("fc_w"), p("fc_b"))
     if params.arch == "mlp2":
         x = tt.reshape(images, (n, d))
-        x = tt.relu(_fc_apply(x, params.tensor("fc1_w"), params.tensor("fc1_b")))
-        x = tt.relu(_fc_apply(x, params.tensor("fc2_w"), params.tensor("fc2_b")))
-        return _fc_apply(x, params.tensor("fc3_w"), params.tensor("fc3_b"))
+        x = tt.relu(tt.linear(x, p("fc1_w"), p("fc1_b")))
+        x = tt.relu(tt.linear(x, p("fc2_w"), p("fc2_b")))
+        return tt.linear(x, p("fc3_w"), p("fc3_b"))
     x = images
     for i in (1, 2, 3):
-        x = tt.relu(_conv_apply(x, params.tensor(f"conv{i}_w"),
-                                params.tensor(f"conv{i}_b"), stride=2, padding=1))
+        x = tt.relu(tt.conv2d(x, p(f"conv{i}_w"), stride=2, padding=1, bias=p(f"conv{i}_b")))
     x = tt.reshape(x, (n, x.size // n))
-    return _fc_apply(x, params.tensor("fc_w"), params.tensor("fc_b"))
+    return tt.linear(x, p("fc_w"), p("fc_b"))
 
 
 def init_autoencoder(in_channels: int = 3,
@@ -231,15 +218,6 @@ def init_autoencoder(in_channels: int = 3,
     return AutoEncoderParams(in_channels=in_channels, widths=(w1, w2), items=tuple(items))
 
 
-def _upsample2(x: Tensor) -> Tensor:
-    # nearest-neighbor x2: expand each pixel into a 2x2 block via reshape
-    # to rank 6, broadcast along the two repeat axes, reshape back
-    n, c, h, w = x.shape
-    z = tt.reshape(x, (n, c, h, 1, w, 1))
-    z = tt.broadcast_to(z, (n, c, h, 2, w, 2))
-    return tt.reshape(z, (n, c, 2 * h, 2 * w))
-
-
 def forward_autoencoder(params: AutoEncoderParams, images: Tensor) -> Tensor:
     """Reconstruction of the batch, same shape as input, values in (0, 1)."""
     if not isinstance(images, Tensor):
@@ -251,12 +229,11 @@ def forward_autoencoder(params: AutoEncoderParams, images: Tensor) -> Tensor:
         raise DimensionError(f"autoencoder expects {params.in_channels} channels, got {c}")
     if h % 4 != 0 or w % 4 != 0:
         raise DimensionError(f"autoencoder needs spatial dims divisible by 4, got {h}x{w}")
-    x = tt.relu(_conv_apply(images, params.tensor("enc1_w"), params.tensor("enc1_b"), 2, 1))
-    x = tt.relu(_conv_apply(x, params.tensor("enc2_w"), params.tensor("enc2_b"), 2, 1))
-    x = _upsample2(x)
-    x = tt.relu(_conv_apply(x, params.tensor("dec1_w"), params.tensor("dec1_b"), 1, 1))
-    x = _upsample2(x)
-    x = _conv_apply(x, params.tensor("dec2_w"), params.tensor("dec2_b"), 1, 1)
+    p = params.tensor
+    x = tt.relu(tt.conv2d(images, p("enc1_w"), 2, 1, bias=p("enc1_b")))
+    x = tt.relu(tt.conv2d(x, p("enc2_w"), 2, 1, bias=p("enc2_b")))
+    x = tt.relu(tt.conv2d(tt.upsample2(x), p("dec1_w"), 1, 1, bias=p("dec1_b")))
+    x = tt.conv2d(tt.upsample2(x), p("dec2_w"), 1, 1, bias=p("dec2_b"))
     return tt.sigmoid(x)
 
 

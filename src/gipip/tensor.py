@@ -18,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -48,7 +49,7 @@ def grad_enabled() -> bool:
 class Tensor:
     """A node in the computation graph: an array plus how it was made."""
 
-    __slots__ = ("data", "requires_grad", "op", "parents", "vjps", "nid")
+    __slots__ = ("data", "requires_grad", "op", "parents", "vjps", "nid", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -189,7 +190,10 @@ def _node(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp_builder):
 
     ``vjp_builder`` receives the created node so vjps that reuse the forward
     output (exp, sqrt, sigmoid) can reference it *as a graph node*; saving it
-    as a detached constant would silently drop second-order terms.
+    as a detached constant would silently drop second-order terms.  They
+    hold it through a weak reference: a strong one would make node -> vjps
+    -> closure -> node a reference cycle, so every graph would wait for the
+    cyclic collector.  The node is alive whenever backward calls its vjps.
     """
     if _grad_enabled and any(p.requires_grad for p in parents):
         t = Tensor._wrap(data, op, parents, ())
@@ -250,7 +254,12 @@ def relu(a) -> Tensor:
     a = _coerce(a)
     out = np.maximum(a.data, 0.0)
     mask = (a.data > 0).astype(a.data.dtype)
-    return _node(out, "relu", (a,), lambda out: (lambda g: mul(g, constant(mask)),))
+
+    def build(_):
+        m = Tensor._wrap(mask, "leaf", (), ())  # wrapped once, not copied
+        return (lambda g: mul(g, m),)
+
+    return _node(out, "relu", (a,), build)
 
 
 def sigmoid(a) -> Tensor:
@@ -264,15 +273,20 @@ def sigmoid(a) -> Tensor:
     def build(out):
         # out is the sigmoid node itself; differentiating through it keeps
         # second derivatives exact
-        return (lambda g: mul(g, mul(out, sub(1.0, out))),)
+        out = weakref.ref(out)
+        return (lambda g: mul(g, mul(out(), sub(1.0, out()))),)
 
     return _node(out_data, "sigmoid", (a,), build)
 
 
 def exp(a) -> Tensor:
     a = _coerce(a)
-    return _node(np.exp(a.data), "exp", (a,),
-                 lambda out: (lambda g: mul(g, out),))
+
+    def build(out):
+        out = weakref.ref(out)
+        return (lambda g: mul(g, out()),)
+
+    return _node(np.exp(a.data), "exp", (a,), build)
 
 
 def log(a) -> Tensor:
@@ -283,8 +297,12 @@ def log(a) -> Tensor:
 
 def sqrt(a) -> Tensor:
     a = _coerce(a)
-    return _node(np.sqrt(a.data), "sqrt", (a,),
-                 lambda out: (lambda g: div(mul(g, 0.5), out),))
+
+    def build(out):
+        out = weakref.ref(out)
+        return (lambda g: div(mul(g, 0.5), out()),)
+
+    return _node(np.sqrt(a.data), "sqrt", (a,), build)
 
 
 _ELEMENTWISE_BINARY = {"add": add, "sub": sub, "mul": mul, "div": div}
@@ -316,7 +334,7 @@ def reshape(a, shape) -> Tensor:
         n *= s
     if n != a.size:
         raise DimensionError(f"reshape: cannot view {a.shape} as {shape}")
-    out = a.data.reshape(shape).copy()
+    out = a.data.reshape(shape)  # node data is frozen, so a view is safe
     return _node(out, "reshape", (a,), lambda out: (lambda g: reshape(g, a.shape),))
 
 
@@ -325,7 +343,7 @@ def permute(a, axes) -> Tensor:
     axes = tuple(int(x) for x in axes)
     if sorted(axes) != list(range(a.ndim)):
         raise ArgumentError(f"permute: {axes} is not a permutation of rank {a.ndim}")
-    inv = tuple(int(np.argsort(axes)[i]) for i in range(len(axes)))
+    inv = tuple(int(i) for i in np.argsort(axes))
     out = np.ascontiguousarray(a.data.transpose(axes))
     return _node(out, "permute", (a,), lambda out: (lambda g: permute(g, inv),))
 
@@ -429,17 +447,85 @@ def embed_hw(a, hw: tuple[int, int], hs: int, ws: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra and convolution
 
+def _matmul(a: Tensor, b: Tensor, ta: bool, tb: bool) -> Tensor:
+    # op(a) @ op(b), op transposing where its flag is set; the vjps of every
+    # flag combination are again such products, so no transpose is recorded
+    out = (a.data.T if ta else a.data) @ (b.data.T if tb else b.data)
+    return _node(out, "matmul", (a, b), lambda out: (
+        (lambda g: _matmul(b, g, tb, True)) if ta else (lambda g: _matmul(g, b, False, not tb)),
+        (lambda g: _matmul(g, a, True, ta)) if tb else (lambda g: _matmul(a, g, not ta, False)),
+    ))
+
+
 def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul expects matrices, got ranks {a.ndim} and {b.ndim}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-    return _node(out, "matmul", (a, b), lambda out: (
-        lambda g: matmul(g, transpose(b)),
-        lambda g: matmul(transpose(a), g),
+    return _matmul(a, b, False, False)
+
+
+def _bias_sum(g: Tensor) -> Tensor:
+    """Sum over every axis but 1: [N, C, ...] -> [C] (adjoint of _bias_broadcast)."""
+    shape = g.shape
+    out = g.data.sum(axis=(0,) + tuple(range(2, g.ndim)))
+    return _node(out, "bias_sum", (g,), lambda out: (lambda h: _bias_broadcast(h, shape),))
+
+
+def _bias_broadcast(b: Tensor, shape) -> Tensor:
+    """Repeat a [C] vector along axis 1 of ``shape`` (adjoint of _bias_sum)."""
+    out = np.empty(shape, dtype=b.data.dtype)
+    out[...] = b.data.reshape((1, -1) + (1,) * (len(shape) - 2))
+    return _node(out, "bias_broadcast", (b,), lambda out: (_bias_sum,))
+
+
+def linear(x, w, b) -> Tensor:
+    """Affine map ``x @ w.T + b`` of a batch of rows: [N, D], [K, D], [K] -> [N, K]."""
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
+        raise DimensionError(f"linear expects [N, D], [K, D], [K], got "
+                             f"{x.shape}, {w.shape}, {b.shape}")
+    if x.shape[1] != w.shape[1] or b.shape[0] != w.shape[0]:
+        raise DimensionError(f"linear: {x.shape} against weights {w.shape}, bias {b.shape}")
+    out = x.data @ w.data.T
+    out += b.data
+    return _node(out, "linear", (x, w, b), lambda out: (
+        lambda g: _matmul(g, w, False, False),
+        lambda g: _matmul(g, x, True, False),
+        _bias_sum,
     ))
+
+
+def dot(a, b) -> Tensor:
+    """Sum of the elementwise product of two equal-shape tensors, a scalar."""
+    a, b = _coerce(a), _coerce(b)
+    if a.shape != b.shape:
+        raise DimensionError(f"dot: shapes {a.shape} and {b.shape} do not match")
+    out = np.asarray((a.data * b.data).sum(), dtype=a.data.dtype)
+    return _node(out, "dot", (a, b), lambda out: (
+        lambda g: mul(g, b),
+        lambda g: mul(g, a),
+    ))
+
+
+def upsample2(x) -> Tensor:
+    """Nearest-neighbour x2 upsampling of NCHW: each pixel becomes a 2x2 block."""
+    x = _coerce(x)
+    if x.ndim != 4:
+        raise DimensionError(f"upsample2 expects NCHW, got rank {x.ndim}")
+    n, c, h, w = x.shape
+    out = np.empty((n, c, h, 2, w, 2), dtype=x.data.dtype)
+    out[...] = x.data[:, :, :, None, :, None]
+    return _node(out.reshape(n, c, 2 * h, 2 * w), "upsample2", (x,),
+                 lambda out: (_block_sum2,))
+
+
+def _block_sum2(a: Tensor) -> Tensor:
+    """Sum of each 2x2 block of NCHW (adjoint of upsample2)."""
+    n, c, h, w = a.shape
+    out = a.data.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+    return _node(out, "block_sum2", (a,), lambda out: (upsample2,))
 
 
 def _conv_out_hw(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int, int]:
@@ -449,6 +535,7 @@ def _conv_out_hw(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int
 
 
 def _im2col_data(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
+    """Unfold NCHW into patch rows: [N*OH*OW, C*k*k]."""
     n, c, h, w = x.shape
     oh, ow = _conv_out_hw(h, w, k, stride, padding)
     if padding:
@@ -465,6 +552,7 @@ def _im2col_data(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray
 
 
 def _col2im_data(cols: np.ndarray, xshape, k: int, stride: int, padding: int) -> np.ndarray:
+    """Fold patch rows back onto an NCHW canvas, summing overlaps."""
     n, c, h, w = xshape
     oh, ow = _conv_out_hw(h, w, k, stride, padding)
     c6 = cols.reshape(n, oh, ow, c, k, k)
@@ -487,37 +575,14 @@ def _check_conv_geometry(h, w, k, stride, padding):
                              f"{h + 2 * padding}x{w + 2 * padding}")
 
 
-def im2col(a, k: int, stride: int = 1, padding: int = 0) -> Tensor:
-    """Unfold NCHW into patch rows: [N*OH*OW, C*k*k]."""
-    a = _coerce(a)
-    if a.ndim != 4:
-        raise DimensionError(f"im2col expects NCHW, got rank {a.ndim}")
-    _check_conv_geometry(a.shape[2], a.shape[3], k, stride, padding)
-    out = _im2col_data(a.data, k, stride, padding)
-    shape = a.shape
-    return _node(out, "im2col", (a,),
-                 lambda out: (lambda g: col2im(g, shape, k, stride, padding),))
+def _rows(g: np.ndarray) -> np.ndarray:
+    # NCHW cotangent -> [N*H*W, C], the layout of im2col rows
+    return g.transpose(0, 2, 3, 1).reshape(-1, g.shape[1])
 
 
-def col2im(a, xshape, k: int, stride: int = 1, padding: int = 0) -> Tensor:
-    """Fold patch rows back onto an NCHW canvas, summing overlaps."""
-    a = _coerce(a)
-    xshape = tuple(int(s) for s in xshape)
-    if a.ndim != 2 or len(xshape) != 4:
-        raise DimensionError("col2im expects a patch matrix and a 4-d target shape")
-    n, c, h, w = xshape
-    _check_conv_geometry(h, w, k, stride, padding)
-    oh, ow = _conv_out_hw(h, w, k, stride, padding)
-    if a.shape != (n * oh * ow, c * k * k):
-        raise DimensionError(f"col2im: patch matrix {a.shape} does not match "
-                             f"target {xshape} with k={k}, stride={stride}, padding={padding}")
-    out = _col2im_data(a.data, xshape, k, stride, padding)
-    return _node(out, "col2im", (a,),
-                 lambda out: (lambda g: im2col(g, k, stride, padding),))
-
-
-def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation, NCHW input against OCkk kernels, zero padding."""
+def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
+    """2-d cross-correlation, NCHW input against OCkk kernels, zero padding,
+    plus an optional per-output-channel bias [O]."""
     x, kernels = _coerce(x), _coerce(kernels)
     if x.ndim != 4:
         raise DimensionError(f"conv2d input must be NCHW, got rank {x.ndim}")
@@ -531,10 +596,47 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0) -> Tensor:
         raise DimensionError(f"conv2d channels: input has {c}, kernels expect {ck}")
     _check_conv_geometry(h, w, kh, stride, padding)
     oh, ow = _conv_out_hw(h, w, kh, stride, padding)
-    cols = im2col(x, kh, stride, padding)              # [n*oh*ow, c*k*k]
-    wmat = transpose(reshape(kernels, (o, c * kh * kw)))
-    out = matmul(cols, wmat)                           # [n*oh*ow, o]
-    return permute(reshape(out, (n, oh, ow, o)), (0, 3, 1, 2))
+    cols = _im2col_data(x.data, kh, stride, padding)
+    out = cols @ kernels.data.reshape(o, c * kh * kw).T          # [n*oh*ow, o]
+    out = np.ascontiguousarray(out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2))
+    parents = (x, kernels)
+    if bias is not None:
+        bias = _coerce(bias)
+        if bias.shape != (o,):
+            raise DimensionError(f"conv2d bias must be [{o}], got {bias.shape}")
+        out += bias.data.reshape(1, o, 1, 1)
+        parents += (bias,)
+    # d/dx is the transposed conv, d/dkernels the im2col^T . g product
+    return _node(out, "conv2d", parents, lambda out: (
+        lambda g: _conv2d_dx(g, kernels, (h, w), stride, padding),
+        lambda g: _conv2d_dw(x, g, kh, stride, padding),
+        _bias_sum,
+    )[:len(parents)])
+
+
+def _conv2d_dx(g: Tensor, kernels: Tensor, hw, stride: int, padding: int) -> Tensor:
+    """Input adjoint of conv2d: col2im of g . W onto an [N, C, *hw] canvas."""
+    o, c, k, _ = kernels.shape
+    n = g.shape[0]
+    cols = _rows(g.data) @ kernels.data.reshape(o, c * k * k)
+    out = _col2im_data(cols, (n, c) + tuple(hw), k, stride, padding)
+    return _node(out, "conv2d_dx", (g, kernels), lambda out: (
+        lambda h: conv2d(h, kernels, stride, padding),
+        lambda h: _conv2d_dw(h, g, k, stride, padding),
+    ))
+
+
+def _conv2d_dw(x: Tensor, g: Tensor, k: int, stride: int, padding: int) -> Tensor:
+    """Kernel adjoint of conv2d: im2col(x)^T . g, shaped [O, C, k, k]."""
+    c = x.shape[1]
+    o = g.shape[1]
+    cols = _im2col_data(x.data, k, stride, padding)
+    out = (cols.T @ _rows(g.data)).T.reshape(o, c, k, k)
+    hw = x.shape[2:]
+    return _node(out, "conv2d_dw", (x, g), lambda out: (
+        lambda h: _conv2d_dx(g, h, hw, stride, padding),
+        lambda h: conv2d(x, h, stride, padding),
+    ))
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:

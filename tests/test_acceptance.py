@@ -242,20 +242,68 @@ def _case_conv2d(rng):
     return _fix_mix(rng, op, (x, k)), (x, k)
 
 
-def _case_im2col(rng):
+def _case_conv2d_bias(rng):
     x = rng.standard_normal((1, 2, 4, 4))
+    k = rng.standard_normal((3, 2, 2, 2))
+    b = rng.standard_normal(3)
     stride, padding = _conv_geometry(rng)
-    op = lambda a: tt.im2col(a, 2, stride, padding)  # noqa: E731
-    return _fix_mix(rng, op, (x,)), (x,)
+    op = lambda a, w, c: tt.conv2d(a, w, stride, padding, bias=c)  # noqa: E731
+    return _fix_mix(rng, op, (x, k, b)), (x, k, b)
 
 
-def _case_col2im(rng):
+def _conv_cotangent(rng, stride, padding):
+    # a cotangent shaped like the output of a (1, 2, 4, 4) x (3, 2, 2, 2) conv
+    oh = (4 + 2 * padding - 2) // stride + 1
+    return rng.standard_normal((1, 3, oh, oh))
+
+
+def _case_conv2d_dx(rng):
     stride, padding = _conv_geometry(rng)
-    xshape = (1, 2, 4, 4)
-    cols = tt.im2col(tt.constant(np.zeros(xshape)), 2, stride, padding).data.shape
-    a = rng.standard_normal(cols)
-    op = lambda c: tt.col2im(c, xshape, 2, stride, padding)  # noqa: E731
-    return _fix_mix(rng, op, (a,)), (a,)
+    g = _conv_cotangent(rng, stride, padding)
+    k = rng.standard_normal((3, 2, 2, 2))
+    op = lambda a, w: tt._conv2d_dx(a, w, (4, 4), stride, padding)  # noqa: E731
+    return _fix_mix(rng, op, (g, k)), (g, k)
+
+
+def _case_conv2d_dw(rng):
+    stride, padding = _conv_geometry(rng)
+    x = rng.standard_normal((1, 2, 4, 4))
+    g = _conv_cotangent(rng, stride, padding)
+    op = lambda a, c: tt._conv2d_dw(a, c, 2, stride, padding)  # noqa: E731
+    return _fix_mix(rng, op, (x, g)), (x, g)
+
+
+def _case_bias_sum(rng):
+    a = rng.standard_normal(((3, 4), (2, 3, 2, 2))[rng.integers(2)])
+    return _fix_mix(rng, tt._bias_sum, (a,)), (a,)
+
+
+def _case_bias_broadcast(rng):
+    shape = ((3, 4), (2, 4, 2, 3))[rng.integers(2)]
+    b = rng.standard_normal(shape[1])
+    return _fix_mix(rng, lambda c: tt._bias_broadcast(c, shape), (b,)), (b,)
+
+
+def _case_linear(rng):
+    n, d, k = (int(v) for v in rng.integers(1, 5, size=3))
+    arrays = (rng.standard_normal((n, d)), rng.standard_normal((k, d)), rng.standard_normal(k))
+    return _fix_mix(rng, tt.linear, arrays), arrays
+
+
+def _case_upsample2(rng):
+    a = rng.standard_normal((1, 2, int(rng.integers(1, 4)), int(rng.integers(1, 4))))
+    return _fix_mix(rng, tt.upsample2, (a,)), (a,)
+
+
+def _case_block_sum2(rng):
+    a = rng.standard_normal((1, 2, 2 * int(rng.integers(1, 3)), 2 * int(rng.integers(1, 3))))
+    return _fix_mix(rng, tt._block_sum2, (a,)), (a,)
+
+
+def _case_dot(rng):
+    sh = _shape(rng)
+    a, b = rng.standard_normal(sh), rng.standard_normal(sh)
+    return tt.dot, (a, b)
 
 
 def _case_softmax_ce(rng):
@@ -286,8 +334,15 @@ _A1_CASES = {
     "slice_hw": _case_slice_hw,
     "embed_hw": _case_embed_hw,
     "conv2d": _case_conv2d,
-    "im2col": _case_im2col,
-    "col2im": _case_col2im,
+    "conv2d_bias": _case_conv2d_bias,
+    "conv2d_dx": _case_conv2d_dx,
+    "conv2d_dw": _case_conv2d_dw,
+    "bias_sum": _case_bias_sum,
+    "bias_broadcast": _case_bias_broadcast,
+    "linear": _case_linear,
+    "upsample2": _case_upsample2,
+    "block_sum2": _case_block_sum2,
+    "dot": _case_dot,
     "softmax_cross_entropy": _case_softmax_ce,
 }
 
@@ -328,10 +383,33 @@ def test_a1_gradient_correctness():
         dd_errs[matching] = err
         assert err <= 1e-4, f"double backward ({matching}): rel err {err:.3e} > 1e-4"
 
+    # and through the fused conv layers: a convnet objective with the AS
+    # prior (its autoencoder runs conv, upsample2 and sigmoid) and TV
+    conv = nn.init_classifier("convnet", in_shape=(3, 8, 8), num_classes=4,
+                              seed=23, channels=(2, 3, 3))
+    ae = nn.init_autoencoder(seed=24, widths=(2, 3))
+    x0 = rng.uniform(0.2, 0.8, (1, 3, 8, 8))
+    labels = np.array([2])
+    shared = flsim.client_compute_gradient(
+        conv, flsim.ClientBatch(images=tt.constant(x0), labels=labels))
+    weights = LossWeights(lambda_as=1e-2, lambda_tv=1e-2)
+
+    def conv_objective(x):
+        return losses.total_objective(x, conv, labels, shared.gradient, weights,
+                                      theta_a=ae)[0]
+
+    x_probe = rng.uniform(0.2, 0.8, (1, 3, 8, 8))
+    xv = tt.variable(x_probe)
+    (gx,) = tt.grad(conv_objective(xv), [xv])
+    err = rel_err(gx.data, fd_grad(lambda a: conv_objective(tt.constant(a)).item(), x_probe))
+    dd_errs["convnet+as"] = err
+    assert err <= 1e-4, f"double backward (convnet+as): rel err {err:.3e} > 1e-4"
+
     worst_all = max(worst_by_op.values())
     print(f"A1 PASS: {len(_A1_CASES)} ops x 100 cases, worst first-order rel err "
           f"{worst_all:.2e} <= 1e-6; double-backward rel err "
-          f"cosine {dd_errs['cosine']:.2e}, mse {dd_errs['mse']:.2e} <= 1e-4")
+          f"cosine {dd_errs['cosine']:.2e}, mse {dd_errs['mse']:.2e}, "
+          f"convnet+as {dd_errs['convnet+as']:.2e} <= 1e-4")
 
 
 # ---------------------------------------------------------------------------

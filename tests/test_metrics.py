@@ -153,6 +153,41 @@ def test_assignment_permutation_invariant():
     assert a.mean_psnr == pytest.approx(b.mean_psnr, rel=1e-12)
 
 
+def _brute_force_assignment(recovered, truth):
+    """The n! reference: every pairing in lexicographic order, the first
+    with the best (exact matches, finite PSNR sum in row order) key."""
+    n = recovered.shape[0]
+    score = [[metrics.psnr(recovered[i], truth[j]) for j in range(n)] for i in range(n)]
+    best, best_perm = None, None
+    for perm in itertools.permutations(range(n)):
+        vals = [score[i][perm[i]] for i in range(n)]
+        key = (sum(np.isinf(v) for v in vals), sum(v for v in vals if np.isfinite(v)))
+        if best is None or key > best:
+            best, best_perm = key, perm
+    return best_perm
+
+
+def test_assignment_matches_brute_force_reference():
+    # exact matches and duplicate images make ties, which must go to the
+    # lexicographically first pairing as in the brute force; these draws
+    # include a tie between two pairings whose partial sums differ in the
+    # last bit, which only the rounding slack of the dynamic program keeps
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        truth = rng.random((n, 1, 3, 3))
+        recovered = rng.random((n, 1, 3, 3))
+        if n > 1 and rng.random() < 0.5:
+            truth[rng.integers(n)] = truth[rng.integers(n)]
+        for i in range(n):
+            if rng.random() < 0.3:
+                recovered[i] = truth[rng.integers(n)]
+        if n > 1 and rng.random() < 0.2:
+            recovered[rng.integers(n)] = recovered[rng.integers(n)]
+        assert metrics.optimal_assignment(recovered, truth) == \
+            _brute_force_assignment(recovered, truth)
+
+
 def test_evaluate_batch_validation():
     with pytest.raises(DimensionError):
         metrics.evaluate_batch(_batch(2, 12), _batch(3, 13))

@@ -1,10 +1,13 @@
 """Autodiff engine checks: forward values, first-order gradients against
 central finite differences, and the double-backward path the attack needs."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from conftest import check_grads, fd_grad, grad_of, rel_err
+from gipip import flsim, losses, nn
 from gipip import tensor as tt
 from gipip.errors import ArgumentError, DimensionError
 from gipip.tensor import GradientVector, Tensor
@@ -333,6 +336,50 @@ def test_operator_sugar():
     out = (1.0 - (-a) / 2.0 + a * 3.0) - 1.0
     assert np.allclose(out.data, [0.0 + 1.0 + 6.0])
     assert out.requires_grad
+
+
+def _gipip_step():
+    """One gipip objective-plus-gradient at the attack's shape: convnet on a
+    3x32x32 batch of one, cosine matching, TV and the AS prior."""
+    theta = nn.init_classifier("convnet", in_shape=(3, 32, 32), num_classes=10, seed=3)
+    ae = nn.init_autoencoder(seed=5)
+    rng = np.random.default_rng(52)
+    labels = np.array([2])
+    shared = flsim.client_compute_gradient(
+        theta, flsim.ClientBatch(images=tt.constant(rng.random((1, 3, 32, 32))),
+                                 labels=labels))
+    x = tt.variable(rng.random((1, 3, 32, 32)))
+    weights = losses.LossWeights(lambda_as=1e-4, lambda_tv=1e-2)
+
+    def step():
+        total, _ = losses.total_objective(x, theta, labels, shared.gradient, weights,
+                                          theta_a=ae)
+        tt.grad(total, [x])
+
+    return step
+
+
+def test_attack_step_leaves_no_cyclic_garbage():
+    # vjps that reuse their own output node must not form reference cycles:
+    # each graph is freed by reference counting as soon as the step ends
+    step = _gipip_step()
+    gc.collect()
+    gc.disable()
+    try:
+        step()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_attack_step_node_budget():
+    # one node per layer: the fused conv/linear/upsample primitives keep a
+    # gipip step near 270 tensors (the im2col/reshape/permute chains made 475)
+    step = _gipip_step()
+    first = tt.constant(0.0).nid
+    step()
+    created = tt.constant(0.0).nid - first - 1
+    assert created <= 300, created
 
 
 # ---------------------------------------------------------------------------
