@@ -175,14 +175,13 @@ class AttackConfig:
     clamp: bool = True
     record_every: int = 50
     seed: int = 0
-    dlg_optimizer: str = "lbfgs"   # 'adam' is a fallback, flagged as a deviation
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method '{self.method}', "
                                      f"expected one of {METHODS}")
         if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
+            raise ConfigurationError(f"learning rates must be positive, got {self.learning_rate}")
         if self.iterations < 0:
             raise ConfigurationError(f"iterations must be >= 0, got {self.iterations}")
         if self.restarts < 1:
@@ -190,13 +189,11 @@ class AttackConfig:
         if self.record_every < 1:
             raise ConfigurationError(f"record_every must be >= 1, got {self.record_every}")
         if self.lambda_as < 0 or self.lambda_tv < 0:
-            raise ConfigurationError("loss weights must be >= 0")
+            raise ConfigurationError("lambda weights must be >= 0")
         if self.method == "ig" and self.lambda_as != 0:
-            raise ConfigurationError("method 'ig' carries no anomaly prior; lambda_as must be 0")
+            raise ConfigurationError("method 'ig' requires lambda_as = 0")
         if self.method == "dlg" and (self.lambda_as != 0 or self.lambda_tv != 0):
-            raise ConfigurationError("method 'dlg' is matching only; both lambdas must be 0")
-        if self.dlg_optimizer not in ("lbfgs", "adam"):
-            raise ConfigurationError(f"unknown dlg optimizer '{self.dlg_optimizer}'")
+            raise ConfigurationError("method 'dlg' requires lambda_as = 0 and lambda_tv = 0")
 
     @property
     def matching(self) -> str:
@@ -219,7 +216,7 @@ class AttackResult:
     best_restart: int
     restart_grad_losses: tuple[float, ...]
     stalled: bool
-    deviations: tuple[str, ...]
+    steps: int                          # optimizer steps of the best restart
     wall_time_s: float
 
 
@@ -289,8 +286,9 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
         x = init_dummy((n, c, h, w), restart_seed(config.seed, r))
         trace: list[tuple[int, float, float, float, float]] = []
         stalled = False
+        steps = config.iterations
 
-        if config.method == "dlg" and config.dlg_optimizer == "lbfgs":
+        if config.method == "dlg":
             state = LbfgsState()
 
             def closure(flat):
@@ -313,7 +311,7 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
                         xf = clipped
                         f, g = closure(xf)
                 if step_stalled:
-                    stalled = True
+                    stalled, steps = True, t + 1
                     break
             x = xf.reshape(n, c, h, w)
         else:
@@ -343,12 +341,9 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
                           final_parts["tv"], final_parts["total"]))
         restart_finals.append(final_parts["grad"])
         if best is None or final_parts["grad"] < best[0]:
-            best = (final_parts["grad"], r, x, tuple(trace), final_parts, stalled)
+            best = (final_parts["grad"], r, x, tuple(trace), final_parts, stalled, steps)
 
-    grad_final, best_r, x_best, trace_best, parts_best, stalled_best = best
-    deviations = []
-    if config.method == "dlg" and config.dlg_optimizer == "adam":
-        deviations.append("dlg ran with the adam fallback instead of lbfgs")
+    grad_final, best_r, x_best, trace_best, parts_best, stalled_best, steps_best = best
     return AttackResult(recovered=x_best,
                         method=config.method,
                         iterations=config.iterations,
@@ -360,7 +355,7 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
                         best_restart=best_r,
                         restart_grad_losses=tuple(restart_finals),
                         stalled=stalled_best,
-                        deviations=tuple(deviations),
+                        steps=steps_best,
                         wall_time_s=time.monotonic() - t_start)
 
 

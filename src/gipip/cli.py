@@ -4,12 +4,19 @@ Four subcommands over one config format:
 
   train-prior   fit the autoencoder on the auxiliary split, save the model
   attack        run gradient inversion over sampled targets, write CSV+images
-  ablate-as     sweep the anomaly-prior weight over seeds
+  ablate-as     sweep the anomaly-prior weight over seeds, write CSV+images
   evaluate      recompute metrics from images already on disk
 
+attack and ablate-as are one pipeline over a plan of (weight, seed, batch)
+cells: attack is the plan of the configured weight and seed alone.  Each
+cell is one inversion job, a (SharedGradient, ClassifierParams,
+AttackConfig, AutoEncoderParams | None) tuple; --jobs K runs the jobs in K
+processes, and --jobs 1 runs the same worker on the same jobs in-process.
+
 Artifacts are deterministic functions of the config and seed: result CSV
-bodies and model files are byte-identical across reruns and across
---jobs settings.  Timestamps and wall times live only in the manifest.
+bodies, images, traces and model files are byte-identical across reruns
+and across --jobs settings.  Timestamps, wall times and step counts live
+only in the manifest.
 """
 
 from __future__ import annotations
@@ -26,15 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attack import AttackConfig, run_attack
+from .attack import AttackConfig, AttackResult, run_attack
 from .config import ExperimentConfig, load_config
 from .data import Dataset, load_cifar10, load_mnist, save_image, load_image, synthetic_textures
 from .errors import ConfigurationError, FormatError, GipipError
 from .flsim import SharedGradient, make_partition, simulate_round, verify_disjoint
 from .metrics import evaluate_batch, mse, psnr, ssim
 from .nn import AutoEncoderParams, ClassifierParams, InitScheme, init_classifier
-from .prior import PriorTrainConfig, load_model, save_model, train_autoencoder
-from .tensor import GradientVector, constant, variable
+from .prior import load_model, save_model, train_autoencoder
 
 # fixed tags keep every derived stream independent of the others
 _SEED_DATA = 101
@@ -115,11 +121,8 @@ def obtain_prior(cfg: ExperimentConfig, ds: Dataset, part, out_dir: Path,
         manifest.append(f"prior.path={path}")
         return theta_a
     aux_images = ds.images[part.aux_indices]
-    train_cfg = PriorTrainConfig(epochs=cfg.prior_epochs,
-                                 learning_rate=cfg.prior_learning_rate,
-                                 batch_size=cfg.prior_batch_size,
-                                 seed=derive_seed(cfg.seed, _SEED_PRIOR))
-    theta_a, trace = train_autoencoder(aux_images, train_cfg)
+    theta_a, trace = train_autoencoder(
+        aux_images, cfg.prior_config(derive_seed(cfg.seed, _SEED_PRIOR)))
     save_model(path, theta_a)
     _write_csv(out_dir / "prior_trace.csv", ("epoch", "mean_loss"),
                [(i, v) for i, v in enumerate(trace)])
@@ -142,69 +145,17 @@ def choose_targets(cfg: ExperimentConfig, part) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# parallel attack runs (workers get arrays only, never the ground truth)
+# inversion jobs (a job holds the shared gradient and the models, never the
+# ground truth)
 
-def _attack_worker(payload: dict) -> dict:
+def _invert(job: tuple[SharedGradient, ClassifierParams, AttackConfig,
+                       AutoEncoderParams | None]) -> AttackResult | str:
+    """Worker: one inversion run, or the error that ended it."""
+    shared, theta_g, config, theta_a = job
     try:
-        theta_g = ClassifierParams(
-            arch=payload["arch"], in_shape=tuple(payload["in_shape"]),
-            num_classes=payload["num_classes"],
-            items=tuple((n, variable(a)) for n, a in payload["model_items"]))
-        theta_a = None
-        if payload["prior_items"] is not None:
-            theta_a = AutoEncoderParams(
-                in_channels=payload["prior_in_channels"],
-                widths=tuple(payload["prior_widths"]),
-                items=tuple((n, variable(a)) for n, a in payload["prior_items"]))
-        gv = GradientVector(tuple(payload["grad_names"]),
-                            tuple(constant(a) for a in payload["grad_arrays"]))
-        shared = SharedGradient(gradient=gv, batch_size=payload["batch_size"],
-                                labels=np.asarray(payload["labels"]),
-                                model_fingerprint=payload["fingerprint"])
-        config = AttackConfig(**payload["attack_config"])
-        result = run_attack(shared, theta_g, config, theta_a=theta_a)
-        return {"run_id": payload["run_id"], "error": None,
-                "recovered": result.recovered, "trace": result.trace,
-                "final_grad_loss": result.final_grad_loss,
-                "final_as_loss": result.final_as_loss,
-                "final_tv_loss": result.final_tv_loss,
-                "best_restart": result.best_restart, "stalled": result.stalled,
-                "deviations": result.deviations, "wall_time_s": result.wall_time_s}
+        return run_attack(shared, theta_g, config, theta_a=theta_a)
     except GipipError as exc:
-        return {"run_id": payload["run_id"], "error": f"{type(exc).__name__}: {exc}"}
-
-
-def _make_payload(run_id: int, cfg: ExperimentConfig, theta_g: ClassifierParams,
-                  theta_a: AutoEncoderParams | None, shared: SharedGradient,
-                  seed: int) -> dict:
-    return {
-        "run_id": run_id,
-        "arch": theta_g.arch, "in_shape": theta_g.in_shape,
-        "num_classes": theta_g.num_classes,
-        "model_items": [(n, t.data.copy()) for n, t in theta_g.items],
-        "prior_items": None if theta_a is None
-        else [(n, t.data.copy()) for n, t in theta_a.items],
-        "prior_in_channels": None if theta_a is None else theta_a.in_channels,
-        "prior_widths": None if theta_a is None else theta_a.widths,
-        "grad_names": shared.gradient.names,
-        "grad_arrays": [t.data.copy() for t in shared.gradient.tensors],
-        "batch_size": shared.batch_size,
-        "labels": shared.labels.copy(),
-        "fingerprint": shared.model_fingerprint,
-        "attack_config": {
-            "method": cfg.method, "learning_rate": cfg.learning_rate,
-            "iterations": cfg.iterations, "lambda_as": cfg.lambda_as,
-            "lambda_tv": cfg.lambda_tv, "restarts": cfg.restarts,
-            "clamp": cfg.clamp, "record_every": cfg.record_every, "seed": seed,
-        },
-    }
-
-
-def _run_payloads(payloads: list[dict], jobs: int) -> list[dict]:
-    if jobs <= 1 or len(payloads) <= 1:
-        return [_attack_worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(_attack_worker, payloads))
+        return f"{type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +194,20 @@ def cmd_train_prior(cfg: ExperimentConfig, out_dir=None) -> Path:
     return _write_manifest(out_dir, manifest)
 
 
-def cmd_attack(cfg: ExperimentConfig, out_dir=None, jobs: int | None = None) -> Path:
-    """Full pipeline: data, model, prior, one round, inversion, metrics."""
+def _experiment(cfg: ExperimentConfig, out_dir, jobs: int | None, command: str,
+                weights, seeds) -> Path:
+    """Plan, run, score and write the inversions of one round.
+
+    The plan has a cell per (weight, seed, batch): it inverts that batch's
+    shared gradient with anomaly weight ``weight`` and attack seed
+    derive_seed(seed, _SEED_RUN, batch).  Run ids count the cells in that
+    order.
+    """
     out_dir = Path(out_dir if out_dir is not None else cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = jobs if jobs is not None else cfg.parallel_runs
-    manifest = _manifest_header(cfg, "attack")
+    ablate = command == "ablate-as"
+    manifest = _manifest_header(cfg, command)
     t0 = time.monotonic()
 
     ds = load_dataset(cfg)
@@ -263,27 +222,35 @@ def cmd_attack(cfg: ExperimentConfig, out_dir=None, jobs: int | None = None) -> 
     manifest.append(f"dataset.image_shape={ds.image_shape}")
     manifest.append(f"partition.provenance={part.provenance}")
     manifest.append(f"targets={','.join(str(int(i)) for i in targets)}")
+    if ablate:
+        manifest.append(f"ablate.weights={','.join(_fmt(w) for w in weights)}")
+        manifest.append(f"ablate.seeds={','.join(str(s) for s in seeds)}")
 
-    payloads = []
-    for i, shared in enumerate(shared_list):
-        seed_i = derive_seed(cfg.seed, _SEED_RUN, i)
-        payloads.append(_make_payload(i, cfg, theta_g, theta_a, shared, seed_i))
-    outcomes = _run_payloads(payloads, jobs)
+    cells = [(float(w), int(s), i) for w in weights for s in seeds
+             for i in range(len(shared_list))]
+    plan = [(shared_list[i], theta_g, cfg.attack_config(w, derive_seed(s, _SEED_RUN, i)),
+             theta_a) for w, s, i in cells]
+    if jobs <= 1 or len(plan) <= 1:
+        outcomes = [_invert(job) for job in plan]
+    else:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(plan))) as pool:
+            outcomes = list(pool.map(_invert, plan))
 
     truth_images, _ = sealed.reveal()
     ext = "pgm" if ds.image_shape[0] == 1 else "ppm"
     rows, failures = [], []
-    for payload, outcome in zip(payloads, outcomes):
-        rid = outcome["run_id"]
-        run_seed = payload["attack_config"]["seed"]
-        if outcome["error"] is not None:
-            failures.append((rid, outcome["error"]))
+    for rid, ((w, s, i), job, outcome) in enumerate(zip(cells, plan, outcomes)):
+        run_seed = job[2].seed
+        manifest.append(f"run.{rid}.seed={run_seed}")
+        if ablate:
+            manifest.append(f"run.{rid}.cell=weight={_fmt(w)},seed={s},batch={i}")
+        if isinstance(outcome, str):
+            failures.append((rid, outcome))
             manifest.append(f"run.{rid}.status=failed")
-            manifest.append(f"run.{rid}.seed={run_seed}")
-            manifest.append(f"run.{rid}.error={outcome['error']}")
+            manifest.append(f"run.{rid}.error={outcome}")
             continue
-        truth = truth_images[rid * cfg.batch_size:(rid + 1) * cfg.batch_size]
-        recovered = np.clip(outcome["recovered"], 0.0, 1.0)
+        truth = truth_images[i * cfg.batch_size:(i + 1) * cfg.batch_size]
+        recovered = np.clip(outcome.recovered, 0.0, 1.0)
         report = evaluate_batch(recovered, truth)
         artifacts = []
         for j in range(cfg.batch_size):
@@ -295,26 +262,25 @@ def cmd_attack(cfg: ExperimentConfig, out_dir=None, jobs: int | None = None) -> 
         trace_name = f"run{rid}_trace.csv"
         _write_csv(out_dir / trace_name,
                    ("iteration", "grad_loss", "as_loss", "tv_loss", "total_loss"),
-                   outcome["trace"])
+                   outcome.trace)
         artifacts.append(trace_name)
         rows.append((rid, cfg.method, cfg.dataset, cfg.batch_size, run_seed,
-                     cfg.lambda_as, cfg.lambda_tv, cfg.iterations,
-                     outcome["final_grad_loss"], outcome["final_as_loss"],
-                     outcome["final_tv_loss"], report.mean_psnr,
+                     w, cfg.lambda_tv, cfg.iterations,
+                     outcome.final_grad_loss, outcome.final_as_loss,
+                     outcome.final_tv_loss, report.mean_psnr,
                      report.mean_ssim, report.mean_mse))
         manifest.append(f"run.{rid}.status=ok")
-        manifest.append(f"run.{rid}.seed={run_seed}")
-        manifest.append(f"run.{rid}.wall_time_s={outcome['wall_time_s']:.3f}")
-        manifest.append(f"run.{rid}.best_restart={outcome['best_restart']}")
-        manifest.append(f"run.{rid}.stalled={outcome['stalled']}")
+        manifest.append(f"run.{rid}.wall_time_s={outcome.wall_time_s:.3f}")
+        manifest.append(f"run.{rid}.best_restart={outcome.best_restart}")
+        manifest.append(f"run.{rid}.stalled={outcome.stalled}")
+        manifest.append(f"run.{rid}.steps={outcome.steps}")
         manifest.append(f"run.{rid}.psnr_inf_count={report.psnr_inf_count}")
-        for dev in outcome["deviations"]:
-            manifest.append(f"run.{rid}.deviation={dev}")
         manifest.append(f"run.{rid}.artifacts={';'.join(artifacts)}")
 
-    _write_csv(out_dir / "results.csv", RESULT_COLUMNS, rows)
-    manifest.append("artifact.results=results.csv")
-    manifest.append(f"runs.total={len(payloads)}")
+    results = "ablation.csv" if ablate else "results.csv"
+    _write_csv(out_dir / results, RESULT_COLUMNS, rows)
+    manifest.append(f"artifact.results={results}")
+    manifest.append(f"runs.total={len(plan)}")
     manifest.append(f"runs.failed={len(failures)}")
     manifest.append(f"jobs={jobs}")
     manifest.append(f"wall_time_total_s={time.monotonic() - t0:.3f}")
@@ -325,76 +291,21 @@ def cmd_attack(cfg: ExperimentConfig, out_dir=None, jobs: int | None = None) -> 
     return path
 
 
+def cmd_attack(cfg: ExperimentConfig, out_dir=None, jobs: int | None = None) -> Path:
+    """Full pipeline: data, model, prior, one round, inversion, metrics."""
+    return _experiment(cfg, out_dir, jobs, "attack", (cfg.lambda_as,), (cfg.seed,))
+
+
 def cmd_ablate_as(cfg: ExperimentConfig, out_dir=None, jobs: int | None = None,
                   weights=None, seeds=None) -> Path:
     """Sweep lambda_as over attack seeds with everything else held fixed."""
-    out_dir = Path(out_dir if out_dir is not None else cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = jobs if jobs is not None else cfg.parallel_runs
     weights = tuple(cfg.ablate_weights if weights is None else weights)
     seeds = tuple(cfg.ablate_seeds if seeds is None else seeds)
     if any(w < 0 for w in weights):
         raise ConfigurationError("ablation weights must be >= 0")
     if cfg.method != "gipip":
         raise ConfigurationError("ablate-as only makes sense for method 'gipip'")
-    manifest = _manifest_header(cfg, "ablate-as")
-    t0 = time.monotonic()
-
-    ds = load_dataset(cfg)
-    part = build_partition(cfg, ds)
-    theta_g = build_model(cfg, ds)
-    theta_a = obtain_prior(cfg, ds, part, out_dir, manifest)
-    targets = choose_targets(cfg, part)
-    shared_list, sealed = simulate_round(theta_g, ds, targets, cfg.batch_size,
-                                         partition=part)
-    manifest.append(f"partition.provenance={part.provenance}")
-    manifest.append(f"targets={','.join(str(int(i)) for i in targets)}")
-    manifest.append(f"ablate.weights={','.join(_fmt(w) for w in weights)}")
-    manifest.append(f"ablate.seeds={','.join(str(s) for s in seeds)}")
-
-    payloads = []
-    rid = 0
-    for w in weights:
-        for s in seeds:
-            sub = replace(cfg, lambda_as=float(w))
-            for i, shared in enumerate(shared_list):
-                seed_i = derive_seed(int(s), _SEED_RUN, i)
-                payloads.append(_make_payload(rid, sub, theta_g, theta_a, shared, seed_i))
-                payloads[-1]["cell"] = (float(w), int(s), i)
-                rid += 1
-    outcomes = _run_payloads(payloads, jobs)
-
-    truth_images, _ = sealed.reveal()
-    rows, failures = [], []
-    for payload, outcome in zip(payloads, outcomes):
-        rid = outcome["run_id"]
-        w, s, i = payload["cell"]
-        if outcome["error"] is not None:
-            failures.append((rid, outcome["error"]))
-            manifest.append(f"run.{rid}.status=failed")
-            manifest.append(f"run.{rid}.error={outcome['error']}")
-            continue
-        truth = truth_images[i * cfg.batch_size:(i + 1) * cfg.batch_size]
-        recovered = np.clip(outcome["recovered"], 0.0, 1.0)
-        report = evaluate_batch(recovered, truth)
-        rows.append((rid, cfg.method, cfg.dataset, cfg.batch_size,
-                     payload["attack_config"]["seed"], w, cfg.lambda_tv,
-                     cfg.iterations, outcome["final_grad_loss"],
-                     outcome["final_as_loss"], outcome["final_tv_loss"],
-                     report.mean_psnr, report.mean_ssim, report.mean_mse))
-        manifest.append(f"run.{rid}.status=ok")
-        manifest.append(f"run.{rid}.cell=weight={_fmt(w)},seed={s},batch={i}")
-        manifest.append(f"run.{rid}.wall_time_s={outcome['wall_time_s']:.3f}")
-
-    _write_csv(out_dir / "ablation.csv", RESULT_COLUMNS, rows)
-    manifest.append("artifact.results=ablation.csv")
-    manifest.append(f"runs.total={len(payloads)}")
-    manifest.append(f"runs.failed={len(failures)}")
-    manifest.append(f"wall_time_total_s={time.monotonic() - t0:.3f}")
-    path = _write_manifest(out_dir, manifest)
-    if failures and not rows:
-        raise GipipError(f"all {len(failures)} ablation runs failed")
-    return path
+    return _experiment(cfg, out_dir, jobs, "ablate-as", weights, seeds)
 
 
 def cmd_evaluate(out_dir) -> Path:

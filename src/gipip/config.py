@@ -26,7 +26,9 @@ import configparser
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .attack import AttackConfig
 from .errors import ConfigurationError
+from .prior import PriorTrainConfig
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,
                "false": False, "no": False, "0": False, "off": False}
@@ -162,88 +164,56 @@ class ExperimentConfig:
         """Flat (field, value) pairs in declaration order, for manifests."""
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
+    def attack_config(self, lambda_as: float, seed: int) -> AttackConfig:
+        """The settings of one inversion run at anomaly weight ``lambda_as``."""
+        return AttackConfig(method=self.method, learning_rate=self.learning_rate,
+                            iterations=self.iterations, lambda_as=lambda_as,
+                            lambda_tv=self.lambda_tv, restarts=self.restarts,
+                            clamp=self.clamp, record_every=self.record_every, seed=seed)
 
-_FIELD_OF = {
-    ("experiment", "name"): "name",
-    ("experiment", "seed"): "seed",
-    ("experiment", "parallel_runs"): "parallel_runs",
-    ("data", "dataset"): "dataset",
-    ("data", "path"): "path",
-    ("data", "synthetic_count"): "synthetic_count",
-    ("data", "aux_mode"): "aux_mode",
-    ("data", "aux_fraction"): "aux_fraction",
-    ("data", "num_targets"): "num_targets",
-    ("data", "batch_size"): "batch_size",
-    ("model", "arch"): "arch",
-    ("model", "init"): "init",
-    ("model", "init_sigma"): "init_sigma",
-    ("model", "hidden"): "hidden",
-    ("prior", "enabled"): "prior_enabled",
-    ("prior", "epochs"): "prior_epochs",
-    ("prior", "learning_rate"): "prior_learning_rate",
-    ("prior", "batch_size"): "prior_batch_size",
-    ("prior", "model_path"): "prior_model_path",
-    ("attack", "method"): "method",
-    ("attack", "learning_rate"): "learning_rate",
-    ("attack", "iterations"): "iterations",
-    ("attack", "lambda_as"): "lambda_as",
-    ("attack", "lambda_tv"): "lambda_tv",
-    ("attack", "restarts"): "restarts",
-    ("attack", "clamp"): "clamp",
-    ("attack", "record_every"): "record_every",
-    ("ablate", "weights"): "ablate_weights",
-    ("ablate", "seeds"): "ablate_seeds",
-    ("output", "dir"): "output_dir",
-}
+    def prior_config(self, seed: int) -> PriorTrainConfig:
+        """The settings of prior training."""
+        return PriorTrainConfig(epochs=self.prior_epochs,
+                                learning_rate=self.prior_learning_rate,
+                                batch_size=self.prior_batch_size, seed=seed)
 
 
-def _validate(values: dict[str, object], present: set[tuple[str, str]]) -> dict[str, object]:
+# [prior], [ablate] and [output] keys are prefixed with their section
+_FIELD_OF = {(sec, key): f"{sec}_{key}" if sec in ("prior", "ablate", "output") else key
+             for sec, keys in _SCHEMA.items() for key in keys}
+
+
+def _validate(values: dict[str, object], present: set[tuple[str, str]]) -> ExperimentConfig:
     # method-dependent defaults for the prior weights
     method = values["method"]
     if ("attack", "lambda_as") not in present and method in ("ig", "dlg"):
         values["lambda_as"] = 0.0
     if ("attack", "lambda_tv") not in present and method == "dlg":
         values["lambda_tv"] = 0.0
+    cfg = ExperimentConfig(**values)
 
-    def positive(field, minimum=1):
-        if values[field] < minimum:
-            raise ConfigurationError(f"{field} must be >= {minimum}, got {values[field]}")
-
-    positive("parallel_runs")
-    positive("synthetic_count")
-    positive("num_targets")
-    positive("batch_size")
-    positive("hidden")
-    positive("prior_batch_size")
-    positive("restarts")
-    positive("record_every")
-    positive("iterations", 0)
-    positive("prior_epochs", 0)
-    if values["learning_rate"] <= 0 or values["prior_learning_rate"] <= 0:
-        raise ConfigurationError("learning rates must be positive")
-    if values["init_sigma"] < 0:
+    for field in ("parallel_runs", "synthetic_count", "num_targets", "batch_size", "hidden"):
+        if getattr(cfg, field) < 1:
+            raise ConfigurationError(f"{field} must be >= 1, got {getattr(cfg, field)}")
+    # the attack and prior-training rules live with the configs they build
+    cfg.attack_config(cfg.lambda_as, cfg.seed)
+    cfg.prior_config(cfg.seed)
+    if cfg.init_sigma < 0:
         raise ConfigurationError("init_sigma must be >= 0")
-    if values["lambda_as"] < 0 or values["lambda_tv"] < 0:
-        raise ConfigurationError("lambda weights must be >= 0")
-    if values["aux_mode"] == "fraction" and not (0.0 < values["aux_fraction"] < 1.0):
-        raise ConfigurationError(f"aux_fraction must be in (0, 1), "
-                                 f"got {values['aux_fraction']}")
-    if values["num_targets"] % values["batch_size"] != 0:
-        raise ConfigurationError(f"num_targets ({values['num_targets']}) must be a "
-                                 f"multiple of batch_size ({values['batch_size']})")
-    if values["batch_size"] > 8:
+    if cfg.aux_mode == "fraction" and not (0.0 < cfg.aux_fraction < 1.0):
+        raise ConfigurationError(f"aux_fraction must be in (0, 1), got {cfg.aux_fraction}")
+    if cfg.num_targets % cfg.batch_size != 0:
+        raise ConfigurationError(f"num_targets ({cfg.num_targets}) must be a "
+                                 f"multiple of batch_size ({cfg.batch_size})")
+    if cfg.batch_size > 8:
         raise ConfigurationError("batch_size is limited to 8 (metric assignment "
                                  "takes at most 8 images)")
-    if method == "ig" and values["lambda_as"] != 0:
-        raise ConfigurationError("method 'ig' requires lambda_as = 0")
-    if method == "dlg" and (values["lambda_as"] != 0 or values["lambda_tv"] != 0):
-        raise ConfigurationError("method 'dlg' requires lambda_as = 0 and lambda_tv = 0")
-    if method == "gipip" and not values["prior_enabled"]:
+    if method == "gipip" and not cfg.prior_enabled:
         raise ConfigurationError("method 'gipip' needs the prior; set [prior] enabled "
                                  "or switch methods")
-    if values["dataset"] in ("mnist", "cifar10") and not values["path"]:
-        raise ConfigurationError(f"dataset '{values['dataset']}' needs [data] path")
-    return values
+    if cfg.dataset in ("mnist", "cifar10") and not cfg.path:
+        raise ConfigurationError(f"dataset '{cfg.dataset}' needs [data] path")
+    return cfg
 
 
 def _from_pairs(pairs: dict[tuple[str, str], str], origin: str) -> ExperimentConfig:
@@ -262,7 +232,7 @@ def _from_pairs(pairs: dict[tuple[str, str], str], origin: str) -> ExperimentCon
             raise ConfigurationError(f"{where}: '{value}' is not one of {choices}")
         values[_FIELD_OF[(sec, key)]] = value
         present.add((sec, key))
-    return ExperimentConfig(**_validate(values, present))
+    return _validate(values, present)
 
 
 def load_config(path) -> ExperimentConfig:

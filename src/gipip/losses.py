@@ -15,15 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as tt
 from .errors import ArgumentError, ConfigurationError, DimensionError
 from .nn import AutoEncoderParams, ClassifierParams, forward_autoencoder, forward_classifier
 from .tensor import GradientVector, Tensor
 
 MATCHING_KINDS = ("cosine", "mse")
-REDUCTIONS = ("sum", "mean")
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,7 @@ def gradient_matching(pred: GradientVector, target: GradientVector,
     raise ArgumentError(f"unknown matching kind '{kind}', expected one of {MATCHING_KINDS}")
 
 
-def tv_loss(x: Tensor, reduction: str = "sum") -> Tensor:
+def tv_loss(x: Tensor) -> Tensor:
     """Squared total variation: sum of squared neighbor differences.
 
     Only valid neighbor pairs count (no wrap-around), both axes:
@@ -97,33 +94,23 @@ def tv_loss(x: Tensor, reduction: str = "sum") -> Tensor:
         x = tt.constant(x)
     if x.ndim != 4:
         raise DimensionError(f"tv_loss expects NCHW, got rank {x.ndim}")
-    if reduction not in REDUCTIONS:
-        raise ArgumentError(f"unknown reduction '{reduction}'")
     n, c, h, w = x.shape
     dx = tt.sub(tt.slice_hw(x, 0, h, 1, w), tt.slice_hw(x, 0, h, 0, w - 1))
     dy = tt.sub(tt.slice_hw(x, 1, h, 0, w), tt.slice_hw(x, 0, h - 1, 0, w))
-    total = tt.add(tt.dot(dx, dx), tt.dot(dy, dy))
-    if reduction == "mean":
-        return tt.mul(total, 1.0 / x.size)
-    return total
+    return tt.add(tt.dot(dx, dx), tt.dot(dy, dy))
 
 
-def as_loss(x: Tensor, theta_a: AutoEncoderParams, reduction: str = "sum") -> Tensor:
+def as_loss(x: Tensor, theta_a: AutoEncoderParams) -> Tensor:
     """Anomaly score of the batch: reconstruction error under the prior.
 
     The residual is reduced per image first and the per-image scores are
     then summed, so the batch loss is exactly the sum of anomaly scores.
     """
-    if reduction not in REDUCTIONS:
-        raise ArgumentError(f"unknown reduction '{reduction}'")
     recon = forward_autoencoder(theta_a, x)
     r = tt.sub(recon, x)
     n = x.shape[0]
     per_image = tt.sum_to(tt.mul(r, r), (n, 1, 1, 1))
-    total = per_image.sum()
-    if reduction == "mean":
-        return tt.mul(total, 1.0 / x.size)
-    return total
+    return per_image.sum()
 
 
 def classifier_gradient(theta_g: ClassifierParams, x: Tensor, labels,
@@ -140,8 +127,7 @@ def total_objective(x: Tensor,
                     target: GradientVector,
                     weights: LossWeights,
                     theta_a: AutoEncoderParams | None = None,
-                    matching: str = "cosine",
-                    reduction: str = "sum") -> tuple[Tensor, dict[str, float]]:
+                    matching: str = "cosine") -> tuple[Tensor, dict[str, float]]:
     """Full recovery objective and its per-term breakdown.
 
     A zero weight skips its term entirely (no graph nodes), so a gipip run
@@ -155,11 +141,11 @@ def total_objective(x: Tensor,
     if weights.lambda_as > 0:
         if theta_a is None:
             raise ArgumentError("lambda_as > 0 needs autoencoder parameters")
-        a = as_loss(x, theta_a, reduction=reduction)
+        a = as_loss(x, theta_a)
         parts["as"] = float(a.data)
         total = tt.add(total, tt.mul(a, weights.lambda_as))
     if weights.lambda_tv > 0:
-        t = tv_loss(x, reduction=reduction)
+        t = tv_loss(x)
         parts["tv"] = float(t.data)
         total = tt.add(total, tt.mul(t, weights.lambda_tv))
     parts["total"] = float(total.data)

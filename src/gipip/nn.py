@@ -90,7 +90,7 @@ class _ParamOps:
             if arr.shape != old.shape:
                 raise DimensionError(f"parameter '{name}': shape {arr.shape} "
                                      f"does not match {old.shape}")
-            new_items.append((name, tt.variable(arr, dtype=old.dtype)))
+            new_items.append((name, tt.variable(arr)))
         return replace(self, items=tuple(new_items))
 
 
@@ -235,27 +235,3 @@ def forward_autoencoder(params: AutoEncoderParams, images: Tensor) -> Tensor:
     x = tt.relu(tt.conv2d(tt.upsample2(x), p("dec1_w"), 1, 1, bias=p("dec1_b")))
     x = tt.conv2d(tt.upsample2(x), p("dec2_w"), 1, 1, bias=p("dec2_b"))
     return tt.sigmoid(x)
-
-
-def flatten_params(params) -> np.ndarray:
-    """All parameter values as one 1-d vector, canonical order."""
-    arrays = [t.data.ravel() for _, t in params.items]
-    if not arrays:
-        return np.zeros(0)
-    return np.concatenate(arrays)
-
-
-def unflatten_params(params, vec: np.ndarray):
-    """Inverse of flatten_params against the same structure, bit-exact."""
-    vec = np.asarray(vec)
-    if vec.ndim != 1:
-        raise ArgumentError(f"expected a flat vector, got rank {vec.ndim}")
-    if vec.size != params.param_count:
-        raise DimensionError(f"vector length {vec.size} does not match "
-                             f"parameter count {params.param_count}")
-    arrays = []
-    pos = 0
-    for _, t in params.items:
-        arrays.append(vec[pos:pos + t.size].reshape(t.shape))
-        pos += t.size
-    return params.with_values(arrays)

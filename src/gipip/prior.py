@@ -41,11 +41,11 @@ class PriorTrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
+            raise ConfigurationError(f"prior epochs must be >= 0, got {self.epochs}")
         if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
+            raise ConfigurationError(f"prior learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigurationError(f"prior batch_size must be >= 1, got {self.batch_size}")
 
 
 def train_autoencoder(aux_images: np.ndarray, config: PriorTrainConfig,
@@ -78,7 +78,7 @@ def train_autoencoder(aux_images: np.ndarray, config: PriorTrainConfig,
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
             xb = tt.constant(aux_images[idx])
-            batch_sum = as_loss(xb, params, reduction="sum")
+            batch_sum = as_loss(xb, params)
             loss = tt.mul(batch_sum, 1.0 / len(idx))  # per-image mean, stable lr
             grads = tt.grad(loss, params.tensors)
             arrays, state = adam_step(state, params.to_arrays(),

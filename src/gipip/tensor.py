@@ -7,12 +7,14 @@ expresses its vector-Jacobian product in terms of other primitives; nothing
 drops to raw numpy on the backward path unless gradients are globally off.
 
 Conventions:
-  * arrays are float64 by default (float32 passes through as a speed mode),
+  * arrays are float64,
   * node outputs are frozen (numpy writeable flag cleared),
   * broadcasting is explicit except for rank-0 scalars, which may combine
     with any shape,
   * ``backward`` only accepts a scalar output and returns one cotangent per
-    requested variable, zeros when the variable is unreachable.
+    requested variable, zeros when the variable is unreachable,
+  * leaves pickle by value and unpickle as fresh leaves with new ids;
+    nodes made by an op do not pickle.
 """
 
 from __future__ import annotations
@@ -42,20 +44,15 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """A node in the computation graph: an array plus how it was made."""
 
     __slots__ = ("data", "requires_grad", "op", "parents", "vjps", "nid", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in (np.float64, np.float32):
-            arr = arr.astype(np.float64)
-        arr = arr.copy()  # public constructor never aliases caller memory
+    def __init__(self, data, requires_grad: bool = False):
+        # public constructor never aliases caller memory, and its copy is
+        # C-ordered whatever the layout of the source
+        arr = np.array(data, dtype=np.float64, order="C")
         arr.setflags(write=False)
         self.data = arr
         # leaf declaration is independent of no_grad, which only stops
@@ -79,6 +76,14 @@ class Tensor:
         t.nid = next(_ids)
         return t
 
+    def __reduce__(self):
+        # rebuild through the constructor: backward orders and keys its
+        # sweep by nid, so a restored id could collide with the nodes of
+        # the unpickling process; the constructor draws a fresh one
+        if self.op != "leaf":
+            raise ArgumentError(f"only leaf tensors pickle, not a '{self.op}' node")
+        return Tensor, (self.data, self.requires_grad)
+
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
@@ -90,10 +95,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -146,12 +147,12 @@ class Tensor:
         return matmul(self, other)
 
 
-def constant(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=False, dtype=dtype)
+def constant(data) -> Tensor:
+    return Tensor(data, requires_grad=False)
 
 
-def variable(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=True, dtype=dtype)
+def variable(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
 
 
 def _coerce(x) -> Tensor:
@@ -305,24 +306,6 @@ def sqrt(a) -> Tensor:
     return _node(np.sqrt(a.data), "sqrt", (a,), build)
 
 
-_ELEMENTWISE_BINARY = {"add": add, "sub": sub, "mul": mul, "div": div}
-_ELEMENTWISE_UNARY = {"neg": neg, "relu": relu, "sigmoid": sigmoid,
-                      "exp": exp, "log": log, "sqrt": sqrt}
-
-
-def elementwise(kind: str, a, b=None) -> Tensor:
-    """Generic entry point for the pointwise ops, dispatched by name."""
-    if kind in _ELEMENTWISE_BINARY:
-        if b is None:
-            raise ArgumentError(f"elementwise('{kind}') needs two operands")
-        return _ELEMENTWISE_BINARY[kind](a, b)
-    if kind in _ELEMENTWISE_UNARY:
-        if b is not None:
-            raise ArgumentError(f"elementwise('{kind}') takes one operand")
-        return _ELEMENTWISE_UNARY[kind](a)
-    raise ArgumentError(f"unknown elementwise kind '{kind}'")
-
-
 # ---------------------------------------------------------------------------
 # shape primitives
 
@@ -336,23 +319,6 @@ def reshape(a, shape) -> Tensor:
         raise DimensionError(f"reshape: cannot view {a.shape} as {shape}")
     out = a.data.reshape(shape)  # node data is frozen, so a view is safe
     return _node(out, "reshape", (a,), lambda out: (lambda g: reshape(g, a.shape),))
-
-
-def permute(a, axes) -> Tensor:
-    a = _coerce(a)
-    axes = tuple(int(x) for x in axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ArgumentError(f"permute: {axes} is not a permutation of rank {a.ndim}")
-    inv = tuple(int(i) for i in np.argsort(axes))
-    out = np.ascontiguousarray(a.data.transpose(axes))
-    return _node(out, "permute", (a,), lambda out: (lambda g: permute(g, inv),))
-
-
-def transpose(a) -> Tensor:
-    a = _coerce(a)
-    if a.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got rank {a.ndim}")
-    return permute(a, (1, 0))
 
 
 def broadcast_to(a, shape) -> Tensor:
@@ -405,15 +371,6 @@ def mean(a) -> Tensor:
     if a.size == 0:
         raise ArgumentError("mean of an empty tensor")
     return mul(_sum_full(a), 1.0 / a.size)
-
-
-def reduce(kind: str, a) -> Tensor:
-    """Full reduction to a scalar: kind is 'sum' or 'mean'."""
-    if kind == "sum":
-        return _sum_full(a)
-    if kind == "mean":
-        return mean(a)
-    raise ArgumentError(f"unknown reduce kind '{kind}'")
 
 
 def slice_hw(a, hs: int, he: int, ws: int, we: int) -> Tensor:
@@ -773,10 +730,6 @@ class GradientVector:
         if len(set(self.names)) != len(self.names):
             raise ArgumentError("GradientVector: duplicate segment names")
 
-    @property
-    def total_length(self) -> int:
-        return sum(t.size for t in self.tensors)
-
     def segment(self, name: str) -> Tensor:
         for n, t in zip(self.names, self.tensors):
             if n == name:
@@ -788,17 +741,3 @@ class GradientVector:
         if not self.tensors:
             return np.zeros(0)
         return np.concatenate([t.data.ravel() for t in self.tensors])
-
-    def from_flat(self, vec: np.ndarray) -> "GradientVector":
-        """Rebuild a vector with this one's names/shapes from flat values."""
-        vec = np.asarray(vec)
-        if vec.ndim != 1 or vec.size != self.total_length:
-            raise DimensionError(f"flat vector of length {vec.size} does not match "
-                                 f"total length {self.total_length}")
-        tensors = []
-        pos = 0
-        for t in self.tensors:
-            chunk = vec[pos:pos + t.size].reshape(t.shape)
-            tensors.append(constant(chunk))
-            pos += t.size
-        return GradientVector(self.names, tuple(tensors))

@@ -292,6 +292,8 @@ def test_attack_writes_expected_artifacts(tmp_path):
     text = manifest.read_text()
     assert "command=attack" in text
     assert "run.0.status=ok" in text
+    # Adam runs its whole budget; the count lives in the manifest only
+    assert f"run.0.steps={cfg.iterations}" in text
     # wall time lives in the manifest, never in the CSV
     assert "wall_time" in text and "wall_time" not in ",".join(header)
 
@@ -384,6 +386,23 @@ def test_ablate_sweeps_the_grid_and_tags_rows(tmp_path):
     text = (out / "manifest.txt").read_text()
     assert "ablate.weights=0.0,0.001" in text
     assert "command=ablate-as" in text
+    # every cell leaves its images and trace, and evaluate re-scores them
+    # (from 8-bit images, so only close to the unquantised score)
+    for rid in range(4):
+        assert (out / f"run{rid}_trace.csv").exists()
+    e_header, e_rows = read_csv(cmd_evaluate(out))
+    assert [r[0] for r in e_rows] == [f"run{rid}_img0.ppm" for rid in range(4)]
+    for e_row, row in zip(e_rows, rows):
+        assert abs(float(e_row[e_header.index("psnr")])
+                   - float(row[header.index("psnr")])) < 0.01
+
+
+def test_attack_is_the_one_by_one_ablation(tmp_path):
+    cfg = load_config(write_cfg(tmp_path / "c.ini", fast_sections()))
+    cmd_attack(cfg, tmp_path / "attack")
+    cmd_ablate_as(cfg, tmp_path / "ablate", weights=(cfg.lambda_as,), seeds=(cfg.seed,))
+    assert ((tmp_path / "attack" / "results.csv").read_bytes()
+            == (tmp_path / "ablate" / "ablation.csv").read_bytes())
 
 
 def test_ablate_requires_gipip_and_nonnegative_weights(tmp_path):

@@ -48,10 +48,12 @@ def test_client_gradient_matches_finite_differences():
     labels = np.array([0, 3])
     shared = flsim.client_compute_gradient(theta, _batch(imgs, labels))
 
-    flat = nn.flatten_params(theta)
+    flat = np.concatenate([a.ravel() for a in theta.to_arrays()])
+    splits = np.cumsum([t.size for t in theta.tensors])[:-1]
 
     def batch_loss(vec):
-        p = nn.unflatten_params(theta, vec)
+        p = theta.with_values([v.reshape(t.shape)
+                               for v, t in zip(np.split(vec, splits), theta.tensors)])
         logits = nn.forward_classifier(p, tt.constant(imgs))
         return tt.softmax_cross_entropy(logits, labels).item()
 

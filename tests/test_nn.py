@@ -1,4 +1,4 @@
-"""Model construction, initialization schemes, forwards, and flattening."""
+"""Model construction, initialization schemes and forwards."""
 
 import dataclasses
 
@@ -99,7 +99,6 @@ def test_mlp2_parameter_count_formula():
     params = nn.init_classifier("mlp2", hidden=h, num_classes=k, seed=0)
     want = (d * h + h) + (h * h + h) + (h * k + k)
     assert params.param_count == want
-    assert nn.flatten_params(params).size == want
 
 
 def test_tensor_lookup_by_name():
@@ -184,7 +183,7 @@ def test_convnet_gradient_matches_finite_differences():
 
     def build(x, w):
         logits = nn.forward_classifier(_sub_tensor(params, "conv1_w", w), x)
-        return tt.reduce("sum", logits * tt.constant(mix))
+        return (logits * tt.constant(mix)).sum()
 
     check_grads(build, [imgs, w0], tol=1e-6)
 
@@ -221,40 +220,6 @@ def test_autoencoder_gradient_matches_finite_differences():
 
     def build(x):
         y = nn.forward_autoencoder(params, x)
-        return tt.reduce("sum", (y - x) * (y - x))
+        return ((y - x) * (y - x)).sum()
 
     check_grads(build, [imgs], tol=1e-6)
-
-
-# ---------------------------------------------------------------- flattening
-
-def test_flatten_round_trip_bit_exact():
-    for arch in nn.CLASSIFIER_ARCHS:
-        params = nn.init_classifier(arch, in_shape=(3, 8, 8), seed=12,
-                                    channels=(2, 3, 4), hidden=6)
-        vec = nn.flatten_params(params)
-        back = nn.unflatten_params(params, vec)
-        for x, y in zip(params.to_arrays(), back.to_arrays()):
-            assert x.tobytes() == y.tobytes()
-
-
-def test_flatten_canonical_order():
-    params = nn.init_classifier("dense1", in_shape=(1, 1, 2), num_classes=2, seed=0)
-    params = params.with_values([np.array([[1.0, 2.0], [3.0, 4.0]]),
-                                 np.array([5.0, 6.0])])
-    assert np.array_equal(nn.flatten_params(params), [1, 2, 3, 4, 5, 6])
-
-
-def test_unflatten_length_mismatch():
-    params = nn.init_classifier("dense1", in_shape=(1, 2, 2), seed=0)
-    with pytest.raises(DimensionError):
-        nn.unflatten_params(params, np.zeros(3))
-    with pytest.raises(ArgumentError):
-        nn.unflatten_params(params, np.zeros((2, 2)))
-
-
-def test_flatten_empty_structure():
-    empty = nn.ClassifierParams(arch="dense1", in_shape=(1, 1, 1),
-                                num_classes=2, items=())
-    vec = nn.flatten_params(empty)
-    assert vec.shape == (0,)

@@ -2,6 +2,7 @@
 central finite differences, and the double-backward path the attack needs."""
 
 import gc
+import pickle
 
 import numpy as np
 import pytest
@@ -29,18 +30,6 @@ def test_mul_self_gradient_is_two_a():
     # d/da sum(a*a) at a=[3] -> [6]
     (g,) = grad_of(lambda a: tt.mul(a, a).sum(), np.array([3.0]))
     assert np.array_equal(g, [6.0])
-
-
-def test_elementwise_dispatch_and_errors():
-    a = tt.constant([1.0, -2.0])
-    assert np.array_equal(tt.elementwise("relu", a).data, [1.0, 0.0])
-    assert np.array_equal(tt.elementwise("add", a, a).data, [2.0, -4.0])
-    with pytest.raises(ArgumentError):
-        tt.elementwise("add", a)
-    with pytest.raises(ArgumentError):
-        tt.elementwise("relu", a, a)
-    with pytest.raises(ArgumentError):
-        tt.elementwise("cosh", a)
 
 
 def test_shape_mismatch_names_both_shapes():
@@ -91,10 +80,10 @@ def test_conv2d_kernel_too_large():
 
 
 def test_reduce_values():
-    assert tt.reduce("sum", tt.constant([1.0, 2.0, 3.0])).item() == 6.0
-    assert tt.reduce("mean", tt.constant([2.0, 4.0])).item() == 3.0
+    assert tt.constant([1.0, 2.0, 3.0]).sum().item() == 6.0
+    assert tt.constant([2.0, 4.0]).mean().item() == 3.0
     with pytest.raises(ArgumentError):
-        tt.reduce("max", tt.constant([1.0]))
+        tt.mean(tt.constant(np.zeros(0)))
 
 
 def test_sum_gradient_is_ones():
@@ -205,7 +194,6 @@ def test_fd_reductions_and_shapes():
     rng = np.random.default_rng(48)
     check_grads(lambda a: tt.mean(a), [rng.normal(size=(3, 5))])
     check_grads(lambda a: tt.reshape(a, (6, 2)).sum(), [rng.normal(size=(3, 4))])
-    check_grads(lambda a: tt.permute(a, (2, 0, 1)).sum(), [rng.normal(size=(2, 3, 4))])
     check_grads(lambda a: tt.broadcast_to(tt.reshape(a, (3, 1)), (3, 4)).sum(),
                 [rng.normal(size=(3,))])
     check_grads(lambda a: tt.sum_to(a, (3, 1)).sum(), [rng.normal(size=(3, 4))])
@@ -326,6 +314,32 @@ def test_tensors_are_frozen():
     assert t.data[0] == 1.0
 
 
+def test_unpickled_leaf_is_a_fresh_frozen_copy():
+    # backward orders and keys its sweep by node id, so a leaf restored in
+    # another process must not keep the id it had where it was pickled
+    src = tt.variable(np.arange(6.0).reshape(2, 3).T)
+    blob = pickle.dumps(src)
+    newest = tt.mul(tt.constant(1.0), tt.constant(2.0))
+    back = pickle.loads(blob)
+    assert back.nid > newest.nid > src.nid
+    assert back.op == "leaf" and back.requires_grad and back.parents == ()
+    assert np.array_equal(back.data, src.data)
+    assert not back.data.flags.writeable
+    assert back.data.flags.c_contiguous
+    (g,) = tt.grad(tt.mul(back, back).sum(), [back])
+    assert np.array_equal(g.data, 2.0 * src.data)
+
+
+def test_nodes_made_by_an_op_do_not_pickle():
+    x = tt.variable([1.0, 2.0])
+    with pytest.raises(ArgumentError, match="leaf"):
+        pickle.dumps(tt.mul(x, x))
+    with tt.no_grad():
+        detached = tt.mul(x, x)
+    with pytest.raises(ArgumentError, match="leaf"):
+        pickle.dumps(detached)
+
+
 def test_item_requires_single_element():
     with pytest.raises(ArgumentError):
         tt.constant([1.0, 2.0]).item()
@@ -386,13 +400,14 @@ def test_attack_step_node_budget():
 # gradient vectors
 
 def test_gradient_vector_roundtrip_exact():
+    # a pickle round trip, as a worker process receives the vector
     rng = np.random.default_rng(51)
     gv = GradientVector(("a", "b"), (tt.constant(rng.normal(size=(2, 3))),
                                      tt.constant(rng.normal(size=5))))
     flat = gv.flat()
     assert flat.shape == (11,)
-    back = gv.from_flat(flat)
-    assert np.array_equal(back.flat(), flat)
+    back = pickle.loads(pickle.dumps(gv))
+    assert back.flat().tobytes() == flat.tobytes()
     assert back.names == gv.names
     assert np.array_equal(back.segment("a").data, gv.segment("a").data)
 
@@ -406,5 +421,3 @@ def test_gradient_vector_validation():
     gv = GradientVector(("a",), (t,))
     with pytest.raises(ArgumentError):
         gv.segment("b")
-    with pytest.raises(DimensionError):
-        gv.from_flat(np.zeros(3))
