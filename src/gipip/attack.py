@@ -300,10 +300,9 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
             f, g = closure(xf)
             for t in range(config.iterations):
                 if t % config.record_every == 0:
-                    x_now = xf.reshape(n, c, h, w)
-                    _, parts = objective(x_now)[1:]
-                    trace.append((t, parts["grad"], parts["as"], parts["tv"], parts["total"]))
-                    _finite_or_raise(parts["total"], "objective", trace)
+                    # f is the closure's value at xf; dlg has no prior terms
+                    trace.append((t, f, 0.0, 0.0, f))
+                    _finite_or_raise(f, "objective", trace)
                 xf, f, g, state, step_stalled = lbfgs_step(state, xf, f, g, closure)
                 if config.clamp:
                     clipped = np.clip(xf, 0.0, 1.0)

@@ -50,9 +50,11 @@ def gradient_matching(pred: GradientVector, target: GradientVector,
     """Distance between two gradient vectors, as a scalar graph tensor.
 
     'cosine' is 1 - <g', g> / (|g'| |g|) over the concatenation of all
-    segments; 'mse' is the plain sum of squared differences.  Segments are
-    reduced independently and accumulated, which is algebraically identical
-    to flattening first.
+    segments; 'mse' is the plain sum of squared differences.  Each inner
+    product is one ``dot`` node over all segments, reduced per segment and
+    accumulated in segment order, which is algebraically identical to
+    flattening first.  The target's squared norm is a constant, computed once
+    per target vector (``GradientVector.sq_norm``).
 
     A zero-norm prediction would make the cosine undefined; the guard
     returns the neutral distance 1 as a detached constant (zero gradient),
@@ -61,23 +63,14 @@ def gradient_matching(pred: GradientVector, target: GradientVector,
     """
     _check_pair(pred, target)
     if kind == "mse":
-        total = None
-        for p, t in zip(pred.tensors, target.tensors):
-            d = tt.sub(p, t)
-            s = tt.dot(d, d)
-            total = s if total is None else tt.add(total, s)
-        return total
+        d = tuple(tt.sub(p, t) for p, t in zip(pred.tensors, target.tensors))
+        return tt.dot(d, d)
     if kind == "cosine":
-        dot = n_pred = n_tgt = None
-        for p, t in zip(pred.tensors, target.tensors):
-            d = tt.dot(p, t)
-            a = tt.dot(p, p)
-            b = tt.dot(t, t)
-            dot = d if dot is None else tt.add(dot, d)
-            n_pred = a if n_pred is None else tt.add(n_pred, a)
-            n_tgt = b if n_tgt is None else tt.add(n_tgt, b)
-        if float(n_tgt.data) == 0.0:
+        n_tgt = target.sq_norm
+        if n_tgt == 0.0:
             raise ArgumentError("cosine matching against a zero-norm target")
+        dot = tt.dot(pred.tensors, target.tensors)
+        n_pred = tt.dot(pred.tensors, pred.tensors)
         if float(n_pred.data) == 0.0:
             return tt.constant(1.0)
         return tt.sub(1.0, tt.div(dot, tt.sqrt(tt.mul(n_pred, n_tgt))))

@@ -23,6 +23,7 @@ import itertools
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -455,14 +456,25 @@ def linear(x, w, b) -> Tensor:
 
 
 def dot(a, b) -> Tensor:
-    """Sum of the elementwise product of two equal-shape tensors, a scalar."""
-    a, b = _coerce(a), _coerce(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"dot: shapes {a.shape} and {b.shape} do not match")
-    out = np.asarray((a.data * b.data).sum(), dtype=a.data.dtype)
-    return _node(out, "dot", (a, b), lambda out: (
-        lambda g: mul(g, b),
-        lambda g: mul(g, a),
+    """Sum of the elementwise product of two equal-shape tensors, a scalar.
+
+    ``a`` and ``b`` may also be equal-length tuples of segments: the result
+    is then sum_i <a_i, b_i> as one node, the per-segment sums added in
+    segment order, with one vjp per segment.
+    """
+    if not isinstance(a, tuple):
+        a, b = (a,), (b,)
+    if not isinstance(b, tuple) or len(a) != len(b) or not a:
+        raise ArgumentError("dot: segments must be two non-empty tuples of equal length")
+    a, b = tuple(map(_coerce, a)), tuple(map(_coerce, b))
+    out = None
+    for x, y in zip(a, b):
+        if x.shape != y.shape:
+            raise DimensionError(f"dot: shapes {x.shape} and {y.shape} do not match")
+        s = (x.data * y.data).sum()
+        out = s if out is None else out + s
+    return _node(np.asarray(out, dtype=np.float64), "dot", a + b, lambda out: (
+        tuple(lambda g, y=y: mul(g, y) for y in b) + tuple(lambda g, x=x: mul(g, x) for x in a)
     ))
 
 
@@ -492,36 +504,40 @@ def _conv_out_hw(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int
 
 
 def _im2col_data(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold NCHW into patch rows: [N*OH*OW, C*k*k]."""
+    """Unfold NCHW into channel-major patch columns: [C*k*k, N*OH*OW].
+
+    Row (c, ki, kj) holds tap (ki, kj) of channel c at every output pixel, in
+    (n, oh, ow) order.  The padded canvas is laid out [C, N, H, W], so each of
+    the k*k tap copies moves whole contiguous (N, OH, OW) planes per channel.
+    """
     n, c, h, w = x.shape
     oh, ow = _conv_out_hw(h, w, k, stride, padding)
+    xc = x.transpose(1, 0, 2, 3)
     if padding:
-        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        xp[:, :, padding:padding + h, padding:padding + w] = x
+        xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = xc
     else:
-        xp = x
-    cols = np.empty((n, oh, ow, c, k, k), dtype=x.dtype)
+        xp = xc
+    cols = np.empty((c, k, k, n, oh, ow), dtype=x.dtype)
     for ki in range(k):
         for kj in range(k):
-            patch = xp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
-            cols[:, :, :, :, ki, kj] = patch.transpose(0, 2, 3, 1)
-    return cols.reshape(n * oh * ow, c * k * k)
+            cols[:, ki, kj] = xp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
+    return cols.reshape(c * k * k, n * oh * ow)
 
 
 def _col2im_data(cols: np.ndarray, xshape, k: int, stride: int, padding: int) -> np.ndarray:
-    """Fold patch rows back onto an NCHW canvas, summing overlaps."""
+    """Fold channel-major patch columns [C*k*k, N*OH*OW] (the layout of
+    ``_im2col_data``) back onto an NCHW canvas, summing overlaps."""
     n, c, h, w = xshape
     oh, ow = _conv_out_hw(h, w, k, stride, padding)
-    c6 = cols.reshape(n, oh, ow, c, k, k)
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    c6 = cols.reshape(c, k, k, n, oh, ow)
+    xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
     for ki in range(k):
         for kj in range(k):
             # within one (ki, kj) the strided slice never hits an element twice
-            xp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += \
-                c6[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-    if padding:
-        return np.ascontiguousarray(xp[:, :, padding:padding + h, padding:padding + w])
-    return xp
+            xp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += c6[:, ki, kj]
+    return np.ascontiguousarray(
+        xp[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3))
 
 
 def _check_conv_geometry(h, w, k, stride, padding):
@@ -532,9 +548,14 @@ def _check_conv_geometry(h, w, k, stride, padding):
                              f"{h + 2 * padding}x{w + 2 * padding}")
 
 
-def _rows(g: np.ndarray) -> np.ndarray:
-    # NCHW cotangent -> [N*H*W, C], the layout of im2col rows
-    return g.transpose(0, 2, 3, 1).reshape(-1, g.shape[1])
+def _channel_major(g: np.ndarray) -> np.ndarray:
+    # NCHW -> [C, N*H*W], the column order of _im2col_data (a view at N = 1)
+    return g.transpose(1, 0, 2, 3).reshape(g.shape[1], -1)
+
+
+def _nchw(cm: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
+    # [C, N*H*W] -> contiguous NCHW (a reshape at N = 1)
+    return np.ascontiguousarray(cm.reshape(-1, n, h, w).transpose(1, 0, 2, 3))
 
 
 def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
@@ -554,17 +575,16 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     _check_conv_geometry(h, w, kh, stride, padding)
     oh, ow = _conv_out_hw(h, w, kh, stride, padding)
     cols = _im2col_data(x.data, kh, stride, padding)
-    out = cols @ kernels.data.reshape(o, c * kh * kw).T          # [n*oh*ow, o]
-    out = np.ascontiguousarray(out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2))
+    out = kernels.data.reshape(o, c * kh * kw) @ cols               # [o, n*oh*ow]
     parents = (x, kernels)
     if bias is not None:
         bias = _coerce(bias)
         if bias.shape != (o,):
             raise DimensionError(f"conv2d bias must be [{o}], got {bias.shape}")
-        out += bias.data.reshape(1, o, 1, 1)
+        out += bias.data[:, None]
         parents += (bias,)
-    # d/dx is the transposed conv, d/dkernels the im2col^T . g product
-    return _node(out, "conv2d", parents, lambda out: (
+    # d/dx is the transposed conv, d/dkernels the g . im2col^T product
+    return _node(_nchw(out, n, oh, ow), "conv2d", parents, lambda out: (
         lambda g: _conv2d_dx(g, kernels, (h, w), stride, padding),
         lambda g: _conv2d_dw(x, g, kh, stride, padding),
         _bias_sum,
@@ -572,11 +592,22 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
 
 
 def _conv2d_dx(g: Tensor, kernels: Tensor, hw, stride: int, padding: int) -> Tensor:
-    """Input adjoint of conv2d: col2im of g . W onto an [N, C, *hw] canvas."""
+    """Input adjoint of conv2d: the transposed conv of g onto [N, C, *hw].
+
+    At stride 1 with padding <= k-1 it is a stride-1 correlation of g, padded
+    by k-1-padding, with the kernels flipped in both spatial axes and their
+    channel axes swapped (Dumoulin & Visin, arXiv 1603.07285): an im2col of
+    g's O channels.  Otherwise it is the fold (col2im) of W^T . g, whose
+    C*k*k columns a dilated g would only make larger at stride 2.
+    """
     o, c, k, _ = kernels.shape
     n = g.shape[0]
-    cols = _rows(g.data) @ kernels.data.reshape(o, c * k * k)
-    out = _col2im_data(cols, (n, c) + tuple(hw), k, stride, padding)
+    if stride == 1 and padding <= k - 1:
+        flipped = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
+        out = _nchw(flipped @ _im2col_data(g.data, k, 1, k - 1 - padding), n, *hw)
+    else:
+        cols = kernels.data.reshape(o, c * k * k).T @ _channel_major(g.data)
+        out = _col2im_data(cols, (n, c) + tuple(hw), k, stride, padding)
     return _node(out, "conv2d_dx", (g, kernels), lambda out: (
         lambda h: conv2d(h, kernels, stride, padding),
         lambda h: _conv2d_dw(h, g, k, stride, padding),
@@ -584,11 +615,11 @@ def _conv2d_dx(g: Tensor, kernels: Tensor, hw, stride: int, padding: int) -> Ten
 
 
 def _conv2d_dw(x: Tensor, g: Tensor, k: int, stride: int, padding: int) -> Tensor:
-    """Kernel adjoint of conv2d: im2col(x)^T . g, shaped [O, C, k, k]."""
+    """Kernel adjoint of conv2d: g . im2col(x)^T, shaped [O, C, k, k]."""
     c = x.shape[1]
     o = g.shape[1]
     cols = _im2col_data(x.data, k, stride, padding)
-    out = (cols.T @ _rows(g.data)).T.reshape(o, c, k, k)
+    out = (_channel_major(g.data) @ cols.T).reshape(o, c, k, k)
     hw = x.shape[2:]
     return _node(out, "conv2d_dw", (x, g), lambda out: (
         lambda h: _conv2d_dx(g, h, hw, stride, padding),
@@ -735,6 +766,15 @@ class GradientVector:
             if n == name:
                 return t
         raise ArgumentError(f"no gradient segment named '{name}'")
+
+    @cached_property
+    def sq_norm(self) -> float:
+        """Squared norm, the per-segment sums added in segment order (the
+        value ``dot(self.tensors, self.tensors)`` has), computed once."""
+        total = 0.0
+        for t in self.tensors:
+            total += (t.data * t.data).sum()
+        return float(total)
 
     def flat(self) -> np.ndarray:
         """Concatenated raw values in canonical segment order."""

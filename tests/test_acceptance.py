@@ -12,7 +12,7 @@ check orderings and margins, not absolute reconstruction quality.  Everything
 is seeded, so reruns measure identical numbers.
 
 Total runtime is dominated by A3 (60 attacks of 800 iterations each); the
-full file takes about 4-5 minutes on one core.
+full file takes about 3 minutes on 2 cores.
 """
 
 import inspect
@@ -296,6 +296,17 @@ def _case_dot(rng):
     return tt.dot, (a, b)
 
 
+def _case_dot_segments(rng):
+    # sum_i <a_i, b_i> over 2-3 segments of mixed shapes; half the cases take
+    # a squared norm, where each segment feeds both sides of the one node
+    a = tuple(rng.standard_normal(_shape(rng)) for _ in range(int(rng.integers(2, 4))))
+    if rng.integers(2):
+        return (lambda *ts: tt.dot(ts, ts)), a
+    b = tuple(rng.standard_normal(x.shape) for x in a)
+    m = len(a)
+    return (lambda *ts: tt.dot(ts[:m], ts[m:])), a + b
+
+
 def _case_softmax_ce(rng):
     logits = rng.standard_normal((3, 5))
     labels = rng.integers(0, 5, size=3)
@@ -331,6 +342,7 @@ _A1_CASES = {
     "upsample2": _case_upsample2,
     "block_sum2": _case_block_sum2,
     "dot": _case_dot,
+    "dot_segments": _case_dot_segments,
     "softmax_cross_entropy": _case_softmax_ce,
 }
 
