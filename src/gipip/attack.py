@@ -263,8 +263,7 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
                             f"(fingerprint {shared.model_fingerprint[:12]}... vs {fp[:12]}...)")
     if shared.gradient.names != theta_g.names:
         raise ContractError("gradient segments do not match the model's parameters")
-    target_norm = float(np.linalg.norm(shared.gradient.flat()))
-    if target_norm == 0.0:
+    if shared.gradient.sq_norm == 0.0:
         raise NumericError("target gradient has zero norm; nothing to match")
 
     n = shared.batch_size

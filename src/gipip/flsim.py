@@ -106,10 +106,9 @@ def client_compute_gradient(theta_g: ClassifierParams, batch: ClientBatch) -> Sh
     labels = np.asarray(batch.labels)
     if labels.size and (labels.min() < 0 or labels.max() >= theta_g.num_classes):
         raise ArgumentError(f"labels must lie in [0, {theta_g.num_classes})")
-    gv = classifier_gradient(theta_g, batch.images, labels, create_graph=False)
-    # what is shared are values: C-ordered leaf copies, which pickle and
-    # lay out the same in every process that receives them
-    gv = GradientVector(gv.names, tuple(tt.constant(t.data) for t in gv.tensors))
+    # what is shared are values: C-ordered constant leaves, which pickle
+    # and lay out the same in every process that receives them
+    gv = classifier_gradient(theta_g, batch.images, labels)
     return SharedGradient(gradient=gv,
                           batch_size=batch.size,
                           labels=labels.copy(),

@@ -7,17 +7,26 @@ The recovery objective is
 where g'(x) is the gradient the classifier would share if x were its batch,
 D is cosine distance or squared error over the whole gradient vector,
 R_as is the autoencoder reconstruction error (anomaly score) and R_tv the
-squared total variation.  Everything here returns graph tensors so the
-attack can differentiate through the inner gradient.
+squared total variation.  Everything here returns graph tensors.
+
+The matching term D(g'(x), g) is one fused node whose only parent is x
+(``matching_loss``): g'(x) comes from a numpy forward and backward pass of
+the classifier (``nn.ClassifierGradient``), and its vjp is
+grad_x <g'(x), v> with v = dD/dg' in closed form, one hand-written reverse
+sweep through that backward pass.  The vjp runs only when the objective is
+differentiated, and only to first order.  The two priors are ordinary graph
+terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import tensor as tt
 from .errors import ArgumentError, ConfigurationError, DimensionError
-from .nn import AutoEncoderParams, ClassifierParams, forward_autoencoder, forward_classifier
+from .nn import AutoEncoderParams, ClassifierGradient, ClassifierParams, forward_autoencoder
 from .tensor import GradientVector, Tensor
 
 MATCHING_KINDS = ("cosine", "mse")
@@ -35,12 +44,13 @@ class LossWeights:
             raise ConfigurationError(f"loss weights must be >= 0, got {self}")
 
 
-def _check_pair(pred: GradientVector, target: GradientVector) -> None:
-    if not pred.tensors or not target.tensors:
+def _check_pair(names, tensors, target: GradientVector) -> None:
+    # the prediction's segment names and tensors against the target's
+    if not tensors or not target.tensors:
         raise ArgumentError("gradient vectors must be non-empty")
-    if pred.names != target.names:
-        raise ArgumentError(f"gradient segments differ: {pred.names} vs {target.names}")
-    for n, p, t in zip(pred.names, pred.tensors, target.tensors):
+    if names != target.names:
+        raise ArgumentError(f"gradient segments differ: {names} vs {target.names}")
+    for n, p, t in zip(names, tensors, target.tensors):
         if p.shape != t.shape:
             raise DimensionError(f"segment '{n}': shapes {p.shape} vs {t.shape}")
 
@@ -61,7 +71,7 @@ def gradient_matching(pred: GradientVector, target: GradientVector,
     so a degenerate iterate stalls instead of going NaN.  A zero-norm
     target is a caller bug and raises.
     """
-    _check_pair(pred, target)
+    _check_pair(pred.names, pred.tensors, target)
     if kind == "mse":
         d = tuple(tt.sub(p, t) for p, t in zip(pred.tensors, target.tensors))
         return tt.dot(d, d)
@@ -106,12 +116,48 @@ def as_loss(x: Tensor, theta_a: AutoEncoderParams) -> Tensor:
     return per_image.sum()
 
 
-def classifier_gradient(theta_g: ClassifierParams, x: Tensor, labels,
-                        create_graph: bool = False) -> GradientVector:
-    """Gradient of the batch-mean cross-entropy wrt every model parameter."""
-    ce = tt.softmax_cross_entropy(forward_classifier(theta_g, x), labels)
-    grads = tt.grad(ce, theta_g.tensors, create_graph=create_graph)
-    return GradientVector(theta_g.names, tuple(grads))
+def classifier_gradient(theta_g: ClassifierParams, x: Tensor, labels) -> GradientVector:
+    """Gradient of the batch-mean cross-entropy wrt every model parameter,
+    as constants (``nn.ClassifierGradient``)."""
+    pred = ClassifierGradient(theta_g, x, labels)
+    return GradientVector(theta_g.names, tuple(tt.constant(a) for a in pred.arrays))
+
+
+def matching_loss(x: Tensor, theta_g: ClassifierParams, labels,
+                  target: GradientVector, kind: str = "cosine") -> Tensor:
+    """D(g'(x), g) as one node with parent x: the value
+    ``gradient_matching(classifier_gradient(theta_g, x, labels), target, kind)``
+    has, computed in the same operations and order.
+
+    Its vjp forms v = dD/dg' in closed form (mse: 2 (g' - g); cosine:
+    (<g', g>/|g'|^2 g' - g) / (|g'| |g|)) and returns grad_x <g'(x), v>.
+    The guards are gradient_matching's: a zero-norm prediction gives the
+    detached constant 1, a zero-norm target raises.
+    """
+    if kind not in MATCHING_KINDS:
+        raise ArgumentError(f"unknown matching kind '{kind}', expected one of {MATCHING_KINDS}")
+    _check_pair(theta_g.names, theta_g.tensors, target)
+    tgt = [t.data for t in target.tensors]
+    if kind == "cosine":
+        n_tgt = target.sq_norm
+        if n_tgt == 0.0:
+            raise ArgumentError("cosine matching against a zero-norm target")
+    pred = ClassifierGradient(theta_g, x, labels)
+    if kind == "mse":
+        d = [p - t for p, t in zip(pred.arrays, tgt)]
+        return tt.first_order("matching", tt._dot_data(d, d), x,
+                              lambda g: g * pred.input_vjp([2.0 * e for e in d]))
+    dot = tt._dot_data(pred.arrays, tgt)
+    n_pred = tt._dot_data(pred.arrays, pred.arrays)
+    if n_pred == 0.0:
+        return tt.constant(1.0)
+    norm = np.sqrt(n_pred * n_tgt)
+
+    def vjp(g):
+        c = dot / n_pred
+        return g * pred.input_vjp([(c * p - t) / norm for p, t in zip(pred.arrays, tgt)])
+
+    return tt.first_order("matching", 1.0 - dot / norm, x, vjp)
 
 
 def total_objective(x: Tensor,
@@ -128,8 +174,7 @@ def total_objective(x: Tensor,
     breakdown dict holds raw (unweighted) term values plus the total; terms
     recombine to the total exactly when accumulated in grad, as, tv order.
     """
-    pred = classifier_gradient(theta_g, x, labels, create_graph=True)
-    total = gradient_matching(pred, target, kind=matching)
+    total = matching_loss(x, theta_g, labels, target, kind=matching)
     parts = {"grad": float(total.data), "as": 0.0, "tv": 0.0}
     if weights.lambda_as > 0:
         if theta_a is None:

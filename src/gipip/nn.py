@@ -173,25 +173,129 @@ def _check_images(images: Tensor, in_shape) -> None:
         raise DimensionError("empty batch")
 
 
+def _affine_layers(params: ClassifierParams) -> list[tuple[Tensor, Tensor]]:
+    # every classifier is a chain of affine layers in canonical parameter
+    # order, [w, b] per layer: a 4-d w is a conv k3 s2 p1, a 2-d one an fc
+    # on the flattened input; a relu follows each layer but the last
+    t = params.tensors
+    return list(zip(t[0::2], t[1::2]))
+
+
 def forward_classifier(params: ClassifierParams, images: Tensor) -> Tensor:
     """Logits [N, num_classes] for a batch of images."""
     _check_images(images, params.in_shape)
     n = images.shape[0]
-    d = images.size // n
-    p = params.tensor
-    if params.arch == "dense1":
-        x = tt.reshape(images, (n, d))
-        return tt.linear(x, p("fc_w"), p("fc_b"))
-    if params.arch == "mlp2":
-        x = tt.reshape(images, (n, d))
-        x = tt.relu(tt.linear(x, p("fc1_w"), p("fc1_b")))
-        x = tt.relu(tt.linear(x, p("fc2_w"), p("fc2_b")))
-        return tt.linear(x, p("fc3_w"), p("fc3_b"))
+    layers = _affine_layers(params)
     x = images
-    for i in (1, 2, 3):
-        x = tt.relu(tt.conv2d(x, p(f"conv{i}_w"), stride=2, padding=1, bias=p(f"conv{i}_b")))
-    x = tt.reshape(x, (n, x.size // n))
-    return tt.linear(x, p("fc_w"), p("fc_b"))
+    for i, (w, b) in enumerate(layers):
+        if w.ndim == 4:
+            x = tt.conv2d(x, w, stride=2, padding=1, bias=b)
+        else:
+            if x.ndim != 2:
+                x = tt.reshape(x, (n, x.size // n))
+            x = tt.linear(x, w, b)
+        if i < len(layers) - 1:
+            x = tt.relu(x)
+    return x
+
+
+class ClassifierGradient:
+    """g'(x): the batch-mean cross-entropy's gradient wrt every classifier
+    parameter, by one forward and one backward pass in numpy.
+
+    ``arrays`` holds g' in canonical parameter order.  The object keeps what
+    its reverse sweep needs: each layer's input (a conv's as its patch
+    matrix), the relu masks, each layer's output cotangent and the softmax.
+    ``input_vjp(v)`` then gives d/dx <g'(x), v> for a fixed v, a mixed
+    Hessian-vector product, by one reverse sweep through the backward pass
+    (Pearlmutter, Neural Computation 1994).  The relu masks are constants
+    there, as in the engine.
+    """
+
+    def __init__(self, params: ClassifierParams, images: Tensor, labels):
+        _check_images(images, params.in_shape)
+        x = images.data
+        n = x.shape[0]
+        self.layers = [(w.data, b.data) for w, b in _affine_layers(params)]
+        self.shapes, self.ins, self.masks = [], [], []
+        last = len(self.layers) - 1
+        for i, (w, b) in enumerate(self.layers):
+            self.shapes.append(x.shape)
+            if w.ndim == 4:
+                self.ins.append(tt._im2col_data(x, 3, 2, 1))
+            else:
+                self.ins.append(x.reshape(n, -1))
+            x = self._affine(i, w, b)
+            if i < last:
+                self.masks.append(x > 0)
+                x = np.maximum(x, 0.0)
+        onehot = tt._onehot(labels, n, x.shape[1])
+        e = np.exp(x - x.max(axis=1, keepdims=True))
+        self.probs = e / e.sum(axis=1, keepdims=True)
+        delta = (self.probs - onehot) / n
+        self.deltas = [None] * len(self.layers)
+        arrays = []
+        for i in range(last, -1, -1):
+            self.deltas[i] = delta
+            arrays[:0] = self._param_adjoint(i, delta)
+            if i:
+                delta = self._input_adjoint(i, delta, self.layers[i][0]) * self.masks[i - 1]
+        self.arrays = arrays
+
+    # one affine layer and its adjoints, on arrays
+
+    def _affine(self, i: int, w: np.ndarray, b: np.ndarray | None = None,
+                x: np.ndarray | None = None) -> np.ndarray:
+        # layer i's map with weights w (and bias b) applied to x, by default
+        # to the layer's own input
+        shape = self.shapes[i]
+        if w.ndim == 4:
+            cols = self.ins[i] if x is None else tt._im2col_data(x, 3, 2, 1)
+            return tt._conv2d_data(cols, w, (shape[0],) + shape[2:], 2, 1, b)
+        rows = self.ins[i] if x is None else x.reshape(shape[0], -1)
+        out = rows @ w.T
+        if b is not None:
+            out += b
+        return out
+
+    def _input_adjoint(self, i: int, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # transpose of layer i's map with weights w, onto its input's shape
+        shape = self.shapes[i]
+        if w.ndim == 4:
+            return tt._conv2d_dx_data(g, w, shape[2:], 2, 1)
+        return (g @ w).reshape(shape)
+
+    def _param_adjoint(self, i: int, g: np.ndarray) -> list[np.ndarray]:
+        w = self.layers[i][0]
+        if w.ndim == 4:
+            return [tt._conv2d_dw_data(self.ins[i], g, w.shape[1], 3), g.sum(axis=(0, 2, 3))]
+        return [g.T @ self.ins[i], g.sum(axis=0)]
+
+    def input_vjp(self, v) -> np.ndarray:
+        """d/dx <g'(x), v> for arrays ``v`` shaped like ``arrays``."""
+        # sweep 1, up the backward pass: the adjoint of each layer's output
+        # cotangent, from <dW, vW> + <db, vb> and from the next layer's input
+        # adjoint, which reads it through the relu mask
+        bar = None
+        for i, (w, _) in enumerate(self.layers):
+            d = self._affine(i, v[2 * i], v[2 * i + 1])
+            if i:
+                d += self._affine(i, w, x=bar * self.masks[i - 1])
+            bar = d
+        # through the softmax: delta = (p - onehot) / n, with a symmetric
+        # Jacobian (diag(p) - p p^T) / n per row
+        u = bar / len(self.probs)
+        bar = self.probs * (u - (self.probs * u).sum(axis=1, keepdims=True))
+        # sweep 2, down the forward pass: each layer's input gets the adjoint
+        # of its output (weights w) plus that of its dW term (cotangent delta,
+        # weights vW), as one transposed map of both stacked on the channel axis
+        for i in range(len(self.layers) - 1, -1, -1):
+            w = self.layers[i][0]
+            bar = self._input_adjoint(i, np.concatenate((bar, self.deltas[i]), axis=1),
+                                      np.concatenate((w, v[2 * i])))
+            if i:
+                bar = bar * self.masks[i - 1]
+        return bar
 
 
 def init_autoencoder(in_channels: int = 3,

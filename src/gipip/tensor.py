@@ -1,10 +1,13 @@
 """Reverse-mode automatic differentiation on dense numpy arrays.
 
-The engine exists for one reason: gradient-inversion objectives differentiate
-*through* a gradient, so ``backward`` must be able to emit a result that is
-itself part of the graph (``create_graph=True``).  Every primitive therefore
-expresses its vector-Jacobian product in terms of other primitives; nothing
-drops to raw numpy on the backward path unless gradients are globally off.
+``backward`` can emit a result that is itself part of the graph
+(``create_graph=True``), so every primitive expresses its vector-Jacobian
+product in terms of other primitives; nothing drops to raw numpy on the
+backward path unless gradients are globally off.  The attack no longer
+relies on it: its gradient-of-a-gradient is the matching term's fused node
+(``losses.matching_loss``), a ``first_order`` node whose vjp is a numpy
+sweep built from this module's private ``*_data`` conv kernels, and which
+refuses ``create_graph=True``.
 
 Conventions:
   * arrays are float64,
@@ -467,15 +470,22 @@ def dot(a, b) -> Tensor:
     if not isinstance(b, tuple) or len(a) != len(b) or not a:
         raise ArgumentError("dot: segments must be two non-empty tuples of equal length")
     a, b = tuple(map(_coerce, a)), tuple(map(_coerce, b))
-    out = None
     for x, y in zip(a, b):
         if x.shape != y.shape:
             raise DimensionError(f"dot: shapes {x.shape} and {y.shape} do not match")
-        s = (x.data * y.data).sum()
-        out = s if out is None else out + s
+    out = _dot_data([x.data for x in a], [y.data for y in b])
     return _node(np.asarray(out, dtype=np.float64), "dot", a + b, lambda out: (
         tuple(lambda g, y=y: mul(g, y) for y in b) + tuple(lambda g, x=x: mul(g, x) for x in a)
     ))
+
+
+def _dot_data(a, b) -> float:
+    """sum_i <a_i, b_i> over equal-shape array segments, the per-segment sums
+    added in segment order: the value of ``dot`` on those segments."""
+    out = 0.0
+    for x, y in zip(a, b):
+        out += (x * y).sum()
+    return float(out)
 
 
 def upsample2(x) -> Tensor:
@@ -573,26 +583,37 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     if ck != c:
         raise DimensionError(f"conv2d channels: input has {c}, kernels expect {ck}")
     _check_conv_geometry(h, w, kh, stride, padding)
-    oh, ow = _conv_out_hw(h, w, kh, stride, padding)
     cols = _im2col_data(x.data, kh, stride, padding)
-    out = kernels.data.reshape(o, c * kh * kw) @ cols               # [o, n*oh*ow]
     parents = (x, kernels)
     if bias is not None:
         bias = _coerce(bias)
         if bias.shape != (o,):
             raise DimensionError(f"conv2d bias must be [{o}], got {bias.shape}")
-        out += bias.data[:, None]
         parents += (bias,)
+    out = _conv2d_data(cols, kernels.data, (n, h, w), stride, padding,
+                       None if bias is None else bias.data)
     # d/dx is the transposed conv, d/dkernels the g . im2col^T product
-    return _node(_nchw(out, n, oh, ow), "conv2d", parents, lambda out: (
+    return _node(out, "conv2d", parents, lambda out: (
         lambda g: _conv2d_dx(g, kernels, (h, w), stride, padding),
         lambda g: _conv2d_dw(x, g, kh, stride, padding),
         _bias_sum,
     )[:len(parents)])
 
 
-def _conv2d_dx(g: Tensor, kernels: Tensor, hw, stride: int, padding: int) -> Tensor:
-    """Input adjoint of conv2d: the transposed conv of g onto [N, C, *hw].
+def _conv2d_data(cols: np.ndarray, kernels: np.ndarray, nhw, stride: int, padding: int,
+                 bias: np.ndarray | None = None) -> np.ndarray:
+    """conv2d on arrays, from the patch matrix of an [N, C, *hw] input."""
+    n, h, w = nhw
+    o, _, k, _ = kernels.shape
+    out = kernels.reshape(o, -1) @ cols                               # [o, n*oh*ow]
+    if bias is not None:
+        out += bias[:, None]
+    return _nchw(out, n, *_conv_out_hw(h, w, k, stride, padding))
+
+
+def _conv2d_dx_data(g: np.ndarray, kernels: np.ndarray, hw, stride: int,
+                    padding: int) -> np.ndarray:
+    """Input adjoint of conv2d on arrays: the transposed conv of g onto [N, C, *hw].
 
     At stride 1 with padding <= k-1 it is a stride-1 correlation of g, padded
     by k-1-padding, with the kernels flipped in both spatial axes and their
@@ -603,11 +624,22 @@ def _conv2d_dx(g: Tensor, kernels: Tensor, hw, stride: int, padding: int) -> Ten
     o, c, k, _ = kernels.shape
     n = g.shape[0]
     if stride == 1 and padding <= k - 1:
-        flipped = kernels.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
-        out = _nchw(flipped @ _im2col_data(g.data, k, 1, k - 1 - padding), n, *hw)
-    else:
-        cols = kernels.data.reshape(o, c * k * k).T @ _channel_major(g.data)
-        out = _col2im_data(cols, (n, c) + tuple(hw), k, stride, padding)
+        flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
+        return _nchw(flipped @ _im2col_data(g, k, 1, k - 1 - padding), n, *hw)
+    cols = kernels.reshape(o, c * k * k).T @ _channel_major(g)
+    return _col2im_data(cols, (n, c) + tuple(hw), k, stride, padding)
+
+
+def _conv2d_dw_data(cols: np.ndarray, g: np.ndarray, c: int, k: int) -> np.ndarray:
+    """Kernel adjoint of conv2d on arrays: g . cols^T, shaped [O, C, k, k],
+    where ``cols`` is the patch matrix of the conv's input."""
+    return (_channel_major(g) @ cols.T).reshape(g.shape[1], c, k, k)
+
+
+def _conv2d_dx(g: Tensor, kernels: Tensor, hw, stride: int, padding: int) -> Tensor:
+    """Input adjoint of conv2d as a graph node (see ``_conv2d_dx_data``)."""
+    k = kernels.shape[2]
+    out = _conv2d_dx_data(g.data, kernels.data, hw, stride, padding)
     return _node(out, "conv2d_dx", (g, kernels), lambda out: (
         lambda h: conv2d(h, kernels, stride, padding),
         lambda h: _conv2d_dw(h, g, k, stride, padding),
@@ -615,11 +647,9 @@ def _conv2d_dx(g: Tensor, kernels: Tensor, hw, stride: int, padding: int) -> Ten
 
 
 def _conv2d_dw(x: Tensor, g: Tensor, k: int, stride: int, padding: int) -> Tensor:
-    """Kernel adjoint of conv2d: g . im2col(x)^T, shaped [O, C, k, k]."""
-    c = x.shape[1]
-    o = g.shape[1]
+    """Kernel adjoint of conv2d as a graph node: g . im2col(x)^T."""
     cols = _im2col_data(x.data, k, stride, padding)
-    out = (_channel_major(g.data) @ cols.T).reshape(o, c, k, k)
+    out = _conv2d_dw_data(cols, g.data, x.shape[1], k)
     hw = x.shape[2:]
     return _node(out, "conv2d_dw", (x, g), lambda out: (
         lambda h: _conv2d_dx(g, h, hw, stride, padding),
@@ -637,22 +667,48 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     logits = _coerce(logits)
     if logits.ndim != 2:
         raise DimensionError(f"softmax_cross_entropy expects [N, K] logits, got {logits.shape}")
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-        raise DimensionError(f"labels shape {labels.shape} does not match logits {logits.shape}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ArgumentError("labels must be integers")
     n, k = logits.shape
-    if labels.min() < 0 or labels.max() >= k:
-        raise ArgumentError(f"labels must lie in [0, {k}), got range "
-                            f"[{labels.min()}, {labels.max()}]")
+    onehot = _onehot(labels, n, k)
     m = logits.data.max(axis=1, keepdims=True)
     shifted = sub(logits, constant(np.broadcast_to(m, (n, k))))
     lse = add(log(sum_to(exp(shifted), (n, 1))), constant(m))      # [n, 1]
-    onehot = np.zeros((n, k), dtype=logits.data.dtype)
-    onehot[np.arange(n), labels] = 1.0
     picked = sum_to(mul(logits, constant(onehot)), (n, 1))         # [n, 1]
     return mean(sub(lse, picked))
+
+
+def _onehot(labels, n: int, k: int) -> np.ndarray:
+    """[N, K] one-hot rows of integer labels, checked against the logits' shape."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != n:
+        raise DimensionError(f"labels shape {labels.shape} does not match logits {(n, k)}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ArgumentError("labels must be integers")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ArgumentError(f"labels must lie in [0, {k}), got range "
+                            f"[{labels.min()}, {labels.max()}]")
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), labels] = 1.0
+    return onehot
+
+
+def first_order(op: str, value, parent: Tensor, vjp) -> Tensor:
+    """A node whose vjp is computed in numpy: ``vjp(g)`` maps the output
+    cotangent's array to the parent's.
+
+    It serves a fused function whose derivative is written by hand.  Its
+    cotangent is a constant, so differentiating through it again would
+    silently drop every second-order term; ``backward(create_graph=True)``
+    raises instead.
+    """
+    def build(_):
+        def vjp_node(g):
+            if _grad_enabled:
+                raise ArgumentError(f"'{op}' is first-order only: "
+                                    "it cannot be differentiated with create_graph=True")
+            return Tensor._wrap(vjp(g.data), "leaf", (), ())
+        return (vjp_node,)
+
+    return _node(np.asarray(value, dtype=np.float64), op, (parent,), build)
 
 
 # ---------------------------------------------------------------------------
@@ -771,10 +827,8 @@ class GradientVector:
     def sq_norm(self) -> float:
         """Squared norm, the per-segment sums added in segment order (the
         value ``dot(self.tensors, self.tensors)`` has), computed once."""
-        total = 0.0
-        for t in self.tensors:
-            total += (t.data * t.data).sum()
-        return float(total)
+        arrays = [t.data for t in self.tensors]
+        return _dot_data(arrays, arrays)
 
     def flat(self) -> np.ndarray:
         """Concatenated raw values in canonical segment order."""

@@ -12,7 +12,7 @@ check orderings and margins, not absolute reconstruction quality.  Everything
 is seeded, so reruns measure identical numbers.
 
 Total runtime is dominated by A3 (60 attacks of 800 iterations each); the
-full file takes about 3 minutes on 2 cores.
+full file takes about 2 minutes on 2 cores.
 """
 
 import inspect
@@ -357,7 +357,8 @@ def test_a1_gradient_correctness():
             worst = max(worst, _check_case(build, arrays, tol=1e-6))
         worst_by_op[name] = worst
 
-    # double backward: d/dx of the gradient-matching distance on a small MLP
+    # double backward: d/dx of the gradient-matching distance on a small MLP,
+    # the fused matching node's reverse sweep through the backward pass
     theta = nn.init_classifier("mlp2", in_shape=(1, 8, 8), num_classes=4,
                                seed=21, hidden=12)
     rng = np.random.default_rng(22)
@@ -405,11 +406,30 @@ def test_a1_gradient_correctness():
     dd_errs["convnet+as"] = err
     assert err <= 1e-4, f"double backward (convnet+as): rel err {err:.3e} > 1e-4"
 
+    # and the third arch, so each classifier's reverse sweep through its
+    # backward pass has a finite-difference check: dense1, batch 2, cosine
+    dense = nn.init_classifier("dense1", in_shape=(2, 4, 4), num_classes=3, seed=25)
+    labels = np.array([0, 2])
+    shared = flsim.client_compute_gradient(
+        dense, flsim.ClientBatch(images=tt.constant(rng.uniform(0.2, 0.8, (2, 2, 4, 4))),
+                                 labels=labels))
+
+    def dense_objective(x):
+        return losses.total_objective(x, dense, labels, shared.gradient,
+                                      LossWeights(lambda_as=0.0, lambda_tv=0.0))[0]
+
+    x_probe = rng.uniform(0.2, 0.8, (2, 2, 4, 4))
+    xv = tt.variable(x_probe)
+    (gx,) = tt.grad(dense_objective(xv), [xv])
+    err = rel_err(gx.data, fd_grad(lambda a: dense_objective(tt.constant(a)).item(), x_probe))
+    dd_errs["dense1"] = err
+    assert err <= 1e-4, f"double backward (dense1): rel err {err:.3e} > 1e-4"
+
     worst_all = max(worst_by_op.values())
     print(f"A1 PASS: {len(_A1_CASES)} ops x 100 cases, worst first-order rel err "
           f"{worst_all:.2e} <= 1e-6; double-backward rel err "
           f"cosine {dd_errs['cosine']:.2e}, mse {dd_errs['mse']:.2e}, "
-          f"convnet+as {dd_errs['convnet+as']:.2e} <= 1e-4")
+          f"convnet+as {dd_errs['convnet+as']:.2e}, dense1 {dd_errs['dense1']:.2e} <= 1e-4")
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,104 @@ def test_total_objective_differentiable_at_random_points():
     check_grads(build, [np.random.default_rng(19).random((2, 3, 8, 8))], tol=1e-5)
 
 
+# ---------------------------------------------------------------- fused matching node
+
+def _engine_matching(theta_g, x, labels, target, kind):
+    """Reference built from the engine: g' by a create_graph backward of the
+    classifier's cross-entropy, then D and its x-gradient through that graph."""
+    xv = tt.variable(x)
+    ce = tt.softmax_cross_entropy(nn.forward_classifier(theta_g, xv), labels)
+    pred = tt.grad(ce, theta_g.tensors, create_graph=True)
+    d = losses.gradient_matching(GradientVector(theta_g.names, tuple(pred)), target, kind)
+    (gx,) = tt.grad(d, [xv])
+    return [p.data for p in pred], gx.data
+
+
+def _matching_case(arch, batch, seed):
+    theta_g = nn.init_classifier(arch, in_shape=(3, 8, 8), num_classes=5, seed=seed,
+                                 hidden=7, channels=(3, 4, 4))
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 5, batch)
+    target = losses.classifier_gradient(theta_g, tt.constant(rng.random((batch, 3, 8, 8))),
+                                        labels)
+    return theta_g, labels, target, rng.random((batch, 3, 8, 8))
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("arch", nn.CLASSIFIER_ARCHS)
+@pytest.mark.parametrize("kind", losses.MATCHING_KINDS)
+@pytest.mark.parametrize("batch", (1, 4, 8))
+def test_matching_node_agrees_with_engine_double_backward(arch, kind, batch):
+    theta_g, labels, target, x = _matching_case(arch, batch, seed=40 + batch)
+    want_pred, want_gx = _engine_matching(theta_g, x, labels, target, kind)
+    pred = losses.classifier_gradient(theta_g, tt.constant(x), labels)
+    for got, want in zip(pred.tensors, want_pred):
+        assert _rel(got.data, want) <= 1e-12
+    xv = tt.variable(x)
+    (gx,) = tt.grad(losses.matching_loss(xv, theta_g, labels, target, kind), [xv])
+    assert _rel(gx.data, want_gx) <= 1e-12
+
+
+@pytest.mark.parametrize("arch", nn.CLASSIFIER_ARCHS)
+@pytest.mark.parametrize("kind", losses.MATCHING_KINDS)
+def test_matching_node_value_is_gradient_matching_exactly(arch, kind):
+    theta_g, labels, target, x = _matching_case(arch, 3, seed=50)
+    node = losses.matching_loss(tt.variable(x), theta_g, labels, target, kind)
+    pred = losses.classifier_gradient(theta_g, tt.constant(x), labels)
+    assert node.item() == losses.gradient_matching(pred, target, kind).item()
+    assert node.parents and len(node.parents) == 1
+
+
+def test_objective_only_calls_never_run_the_sweep(monkeypatch):
+    theta_g, truth, labels, target = _setup_objective()
+
+    def sweep(self, v):
+        raise AssertionError("the reverse sweep ran for an objective-only call")
+
+    monkeypatch.setattr(nn.ClassifierGradient, "input_vjp", sweep)
+    w = losses.LossWeights(lambda_as=0.0, lambda_tv=1e-2)
+    for x in (tt.constant(truth), tt.variable(truth)):
+        total, parts = losses.total_objective(x, theta_g, labels, target, w)
+        assert parts["total"] == total.item()
+    for kind in losses.MATCHING_KINDS:
+        losses.matching_loss(tt.variable(truth), theta_g, labels, target, kind)
+    xv = tt.variable(truth)
+    total, _ = losses.total_objective(xv, theta_g, labels, target, w)
+    with pytest.raises(AssertionError, match="sweep ran"):
+        tt.grad(total, [xv])
+
+
+def test_matching_node_refuses_create_graph():
+    theta_g, truth, labels, target = _setup_objective()
+    xv = tt.variable(np.random.default_rng(20).random(truth.shape))
+    for kind in losses.MATCHING_KINDS:
+        total, _ = losses.total_objective(xv, theta_g, labels, target,
+                                          losses.LossWeights(0.0, 1e-2), matching=kind)
+        with pytest.raises(ArgumentError, match="first-order"):
+            tt.grad(total, [xv], create_graph=True)
+
+
+def test_matching_node_guards():
+    theta_g, truth, labels, target = _setup_objective()
+    x = tt.variable(truth)
+    with pytest.raises(ArgumentError):
+        losses.matching_loss(x, theta_g, labels, target, "manhattan")
+    zero = GradientVector(target.names, tuple(tt.constant(np.zeros(t.shape))
+                                              for t in target.tensors))
+    with pytest.raises(ArgumentError, match="zero-norm target"):
+        losses.matching_loss(x, theta_g, labels, zero, "cosine")
+    assert losses.matching_loss(x, theta_g, labels, zero, "mse").item() > 0.0
+    short = GradientVector(target.names[:-1], target.tensors[:-1])
+    with pytest.raises(ArgumentError):
+        losses.matching_loss(x, theta_g, labels, short, "mse")
+    wrong = GradientVector(target.names, target.tensors[:-1] + (tt.constant([0.0]),))
+    with pytest.raises(DimensionError):
+        losses.matching_loss(x, theta_g, labels, wrong, "mse")
+
+
 def test_loss_weights_validation():
     with pytest.raises(ConfigurationError):
         losses.LossWeights(lambda_as=-1e-4)

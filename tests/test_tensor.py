@@ -499,14 +499,14 @@ def test_attack_step_leaves_no_cyclic_garbage():
 
 
 def test_attack_step_node_budget():
-    # one node per layer and one dot per inner product of the matching: a
-    # gipip step makes 228 tensors; the margin is kept small so the graph
-    # cannot regrow unnoticed
+    # the matching term is one fused node and the priors one node per
+    # layer: a gipip step makes 74 tensors; the margin is kept small so the
+    # graph cannot regrow unnoticed
     step = _gipip_step()
     first = tt.constant(0.0).nid
     step()
     created = tt.constant(0.0).nid - first - 1
-    assert created <= 240, created
+    assert created <= 80, created
 
 
 # ---------------------------------------------------------------------------
