@@ -145,8 +145,8 @@ def matching_loss(x: Tensor, theta_g: ClassifierParams, labels,
     pred = ClassifierGradient(theta_g, x, labels)
     if kind == "mse":
         d = [p - t for p, t in zip(pred.arrays, tgt)]
-        return tt.first_order("matching", tt._dot_data(d, d), x,
-                              lambda g: g * pred.input_vjp([2.0 * e for e in d]))
+        return tt.first_order("matching", tt._dot_data(d, d), (x,),
+                              (lambda g: g * pred.input_vjp([2.0 * e for e in d]),))
     dot = tt._dot_data(pred.arrays, tgt)
     n_pred = tt._dot_data(pred.arrays, pred.arrays)
     if n_pred == 0.0:
@@ -157,7 +157,7 @@ def matching_loss(x: Tensor, theta_g: ClassifierParams, labels,
         c = dot / n_pred
         return g * pred.input_vjp([(c * p - t) / norm for p, t in zip(pred.arrays, tgt)])
 
-    return tt.first_order("matching", 1.0 - dot / norm, x, vjp)
+    return tt.first_order("matching", 1.0 - dot / norm, (x,), (vjp,))
 
 
 def total_objective(x: Tensor,

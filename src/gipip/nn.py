@@ -13,6 +13,11 @@ Classifier architectures:
 Autoencoder (input spatial dims must be divisible by 4):
   encoder  conv k3 s2 p1 + relu, twice        C -> widths[0] -> widths[1]
   decoder  2 x (nearest-upsample x2 + conv k3 s1 p1), relu between, sigmoid out
+
+Each decoder layer is one ``tensor.upsample2_conv2d`` node: the same
+function, computed as four sub-pixel k2 convs of the low-resolution input,
+so the upsampled tensor is never built.  Its vjps are numpy, so the
+autoencoder is differentiable to first order only.
 """
 
 from __future__ import annotations
@@ -336,6 +341,6 @@ def forward_autoencoder(params: AutoEncoderParams, images: Tensor) -> Tensor:
     p = params.tensor
     x = tt.relu(tt.conv2d(images, p("enc1_w"), 2, 1, bias=p("enc1_b")))
     x = tt.relu(tt.conv2d(x, p("enc2_w"), 2, 1, bias=p("enc2_b")))
-    x = tt.relu(tt.conv2d(tt.upsample2(x), p("dec1_w"), 1, 1, bias=p("dec1_b")))
-    x = tt.conv2d(tt.upsample2(x), p("dec2_w"), 1, 1, bias=p("dec2_b"))
+    x = tt.relu(tt.upsample2_conv2d(x, p("dec1_w"), p("dec1_b")))
+    x = tt.upsample2_conv2d(x, p("dec2_w"), p("dec2_b"))
     return tt.sigmoid(x)

@@ -7,7 +7,8 @@ backward path unless gradients are globally off.  The attack no longer
 relies on it: its gradient-of-a-gradient is the matching term's fused node
 (``losses.matching_loss``), a ``first_order`` node whose vjp is a numpy
 sweep built from this module's private ``*_data`` conv kernels, and which
-refuses ``create_graph=True``.
+refuses ``create_graph=True``.  The autoencoder's decoder layers
+(``upsample2_conv2d``) are ``first_order`` nodes too.
 
 Conventions:
   * arrays are float64,
@@ -23,10 +24,11 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import mmap
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -488,23 +490,82 @@ def _dot_data(a, b) -> float:
     return float(out)
 
 
-def upsample2(x) -> Tensor:
-    """Nearest-neighbour x2 upsampling of NCHW: each pixel becomes a 2x2 block."""
-    x = _coerce(x)
+# Sub-pixel form of nearest x2 upsampling followed by a k3/s1/p1 conv (Shi
+# et al., arXiv 1609.05158).  Along each axis, output phase a (the parity of
+# the output index) of that pair is a k2/p1 conv of the low-resolution
+# input whose tap s sums the k3 taps u with _PHASE_TAPS[a, s, u] = 1.
+_PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]],
+                        [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+# both axes at once: row (a, b, s, t), column (u, v) of the 3x3 taps
+_PHASE_MIX = np.einsum("asu,btv->abstuv", _PHASE_TAPS, _PHASE_TAPS).reshape(16, 9)
+
+
+def _phase_kernels(w: np.ndarray) -> np.ndarray:
+    """[O, C, 3, 3] kernels -> [4*O, 4*C] phase kernels: row (a, b, o), column
+    (c, s, t), the row order of ``_im2col_data`` with k = 2."""
+    o, c = w.shape[:2]
+    k = (w.reshape(o * c, 9) @ _PHASE_MIX.T).reshape(o, c, 2, 2, 2, 2)
+    return k.transpose(2, 3, 0, 1, 4, 5).reshape(4 * o, 4 * c)
+
+
+def _phases(planes: np.ndarray, out: np.ndarray):
+    """Pairs of views, one per output phase (a, b): the phase product's
+    [2, 2, O, N, H+1, W+1] planes at (i + a, j + b), and the [N, O, 2H, 2W]
+    output at (2i + a, 2j + b), both laid out [O, N, H, W]."""
+    n, o, h2, w2 = out.shape
+    h, w = h2 // 2, w2 // 2
+    out6 = out.reshape(n, o, h, 2, w, 2)
+    return [(planes[a, b, :, :, a:a + h, b:b + w], out6[:, :, :, a, :, b].transpose(1, 0, 2, 3))
+            for a in range(2) for b in range(2)]
+
+
+def _phase_planes(g: np.ndarray) -> np.ndarray:
+    """Cotangent of an upsample2_conv2d output as the phase product's
+    [4*O, N*(H+1)*(W+1)]; the positions no output reads stay zero."""
+    n, o, h2, w2 = g.shape
+    planes = np.zeros((2, 2, o, n, h2 // 2 + 1, w2 // 2 + 1), dtype=g.dtype)
+    for plane, phase in _phases(planes, g):
+        plane[...] = phase
+    return planes.reshape(4 * o, -1)
+
+
+def upsample2_conv2d(x, w, b) -> Tensor:
+    """Nearest-neighbour x2 upsampling of NCHW, then a k3/s1/p1 conv with bias.
+
+    The value is ``conv2d(upsample2(x), w, 1, 1, bias=b)``, computed without
+    the upsampled tensor: one k2/p1 patch matrix of x, one [4*O, 4*C]
+    product with the phase kernels and one interleave of the four output
+    phases.  The vjps are numpy (``first_order``): the input's is the
+    transposed phase conv, the kernel's maps the phase-kernel gradient back
+    onto the 3x3 taps through the same tap-mixing matrix, the bias's a sum.
+    """
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
     if x.ndim != 4:
-        raise DimensionError(f"upsample2 expects NCHW, got rank {x.ndim}")
-    n, c, h, w = x.shape
-    out = np.empty((n, c, h, 2, w, 2), dtype=x.data.dtype)
-    out[...] = x.data[:, :, :, None, :, None]
-    return _node(out.reshape(n, c, 2 * h, 2 * w), "upsample2", (x,),
-                 lambda out: (_block_sum2,))
+        raise DimensionError(f"upsample2_conv2d input must be NCHW, got rank {x.ndim}")
+    n, c, h, wd = x.shape
+    o = w.shape[0]
+    if w.shape != (o, c, 3, 3) or b.shape != (o,):
+        raise DimensionError(f"upsample2_conv2d: input {x.shape} against kernels "
+                             f"{w.shape} (want [O, {c}, 3, 3]), bias {b.shape}")
+    kmat = _phase_kernels(w.data)
+    prod = kmat @ _im2col_data(x.data, 2, 1, 1)            # [4o, n*(h+1)*(wd+1)]
+    prod.reshape(4, o, -1)[...] += b.data[:, None]
+    out = np.empty((n, o, 2 * h, 2 * wd), dtype=prod.dtype)
+    for plane, phase in _phases(prod.reshape(2, 2, o, n, h + 1, wd + 1), out):
+        phase[...] = plane
 
+    def dx(g):
+        planes = _phase_planes(g).reshape(4 * o, n, h + 1, wd + 1).transpose(1, 0, 2, 3)
+        return _conv2d_dx_data(planes, kmat.reshape(4 * o, c, 2, 2), (h, wd), 1, 1)
 
-def _block_sum2(a: Tensor) -> Tensor:
-    """Sum of each 2x2 block of NCHW (adjoint of upsample2)."""
-    n, c, h, w = a.shape
-    out = a.data.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
-    return _node(out, "block_sum2", (a,), lambda out: (upsample2,))
+    def dw(g):
+        # x is unfolded again: holding the patch matrix for the graph's life
+        # costs a prior-training batch more memory than the unfold costs time
+        dk = (_phase_planes(g) @ _im2col_data(x.data, 2, 1, 1).T).reshape(2, 2, o, c, 2, 2)
+        return (dk.transpose(2, 3, 0, 1, 4, 5).reshape(o * c, 16) @ _PHASE_MIX).reshape(o, c, 3, 3)
+
+    return first_order("upsample2_conv2d", out, (x, w, b),
+                       (dx, dw, lambda g: g.sum(axis=(0, 2, 3))))
 
 
 def _conv_out_hw(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int, int]:
@@ -537,17 +598,44 @@ def _im2col_data(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray
 
 def _col2im_data(cols: np.ndarray, xshape, k: int, stride: int, padding: int) -> np.ndarray:
     """Fold channel-major patch columns [C*k*k, N*OH*OW] (the layout of
-    ``_im2col_data``) back onto an NCHW canvas, summing overlaps."""
+    ``_im2col_data``) back onto an NCHW canvas, summing overlaps.
+
+    One ``np.bincount`` over the cached ``_fold_index``: it adds each
+    element's contributions in the columns' (ki, kj) order, starting from
+    0.0, which is the order of one strided slice-add per tap over a zeroed
+    canvas, so the result is the same to the last bit.
+    """
     n, c, h, w = xshape
+    size = n * c * h * w
+    out = np.bincount(_fold_index(n, c, h, w, k, stride, padding),
+                      weights=cols.ravel(), minlength=size + 1)
+    return out[:size].reshape(n, c, h, w)
+
+
+@lru_cache(maxsize=64)
+def _fold_index(n: int, c: int, h: int, w: int, k: int, stride: int,
+                padding: int) -> np.ndarray:
+    """Flat NCHW position of every patch-matrix entry, in the matrix's order;
+    taps that land in the padding go to position N*C*H*W, one past the end.
+    The array is shared by every fold of its geometry: never write to it."""
     oh, ow = _conv_out_hw(h, w, k, stride, padding)
-    c6 = cols.reshape(c, k, k, n, oh, ow)
-    xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            # within one (ki, kj) the strided slice never hits an element twice
-            xp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += c6[:, ki, kj]
-    return np.ascontiguousarray(
-        xp[:, :, padding:padding + h, padding:padding + w].transpose(1, 0, 2, 3))
+    size = n * c * h * w
+    r = np.arange(k)[:, None] + stride * np.arange(oh) - padding       # [k, oh]
+    s = np.arange(k)[:, None] + stride * np.arange(ow) - padding       # [k, ow]
+    inside = ((r >= 0) & (r < h))[:, None, :, None] & ((s >= 0) & (s < w))[None, :, None, :]
+    # [k, k, oh, ow]; a padding tap gets `size`, which no offset brings back in range
+    pos = np.where(inside, r[:, None, :, None] * w + s[None, :, None, :], size)
+    offset = (np.arange(n) * c + np.arange(c)[:, None]) * (h * w)       # [c, n]
+    # the index lives in its own anonymous mapping: kept in the malloc heap,
+    # a long-lived array fragments the space the transient arrays reuse
+    count = c * k * k * n * oh * ow
+    index = np.frombuffer(mmap.mmap(-1, max(count, 1) * np.dtype(np.intp).itemsize),
+                          dtype=np.intp)[:count]
+    np.add(offset[:, None, None, :, None, None], pos[None, :, :, None, :, :],
+           out=index.reshape(c, k, k, n, oh, ow))
+    np.minimum(index, size, out=index)
+    # left writeable: bincount copies a read-only index on every call
+    return index
 
 
 def _check_conv_geometry(h, w, k, stride, padding):
@@ -592,7 +680,8 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
         parents += (bias,)
     out = _conv2d_data(cols, kernels.data, (n, h, w), stride, padding,
                        None if bias is None else bias.data)
-    # d/dx is the transposed conv, d/dkernels the g . im2col^T product
+    # d/dx is the transposed conv, d/dkernels the g . im2col^T product; that
+    # unfolds x again rather than hold the patch matrix for the graph's life
     return _node(out, "conv2d", parents, lambda out: (
         lambda g: _conv2d_dx(g, kernels, (h, w), stride, padding),
         lambda g: _conv2d_dw(x, g, kh, stride, padding),
@@ -691,24 +780,25 @@ def _onehot(labels, n: int, k: int) -> np.ndarray:
     return onehot
 
 
-def first_order(op: str, value, parent: Tensor, vjp) -> Tensor:
-    """A node whose vjp is computed in numpy: ``vjp(g)`` maps the output
-    cotangent's array to the parent's.
+def first_order(op: str, value, parents: tuple[Tensor, ...], vjps: tuple) -> Tensor:
+    """A node whose vjps are computed in numpy: ``vjps[i](g)`` maps the
+    output cotangent's array to the array of ``parents[i]``.
 
-    It serves a fused function whose derivative is written by hand.  Its
-    cotangent is a constant, so differentiating through it again would
-    silently drop every second-order term; ``backward(create_graph=True)``
-    raises instead.
+    It serves a fused function whose derivative is written by hand (the
+    matching term, the sub-pixel decoder layer).  Its cotangents are
+    constants, so differentiating through it again would silently drop every
+    second-order term; ``backward(create_graph=True)`` raises instead.
     """
-    def build(_):
-        def vjp_node(g):
+    def vjp_node(vjp):
+        def run(g):
             if _grad_enabled:
                 raise ArgumentError(f"'{op}' is first-order only: "
                                     "it cannot be differentiated with create_graph=True")
             return Tensor._wrap(vjp(g.data), "leaf", (), ())
-        return (vjp_node,)
+        return run
 
-    return _node(np.asarray(value, dtype=np.float64), op, (parent,), build)
+    return _node(np.asarray(value, dtype=np.float64), op, parents,
+                 lambda out: tuple(map(vjp_node, vjps)))
 
 
 # ---------------------------------------------------------------------------

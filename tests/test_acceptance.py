@@ -280,14 +280,11 @@ def _case_linear(rng):
     return _fix_mix(rng, tt.linear, arrays), arrays
 
 
-def _case_upsample2(rng):
-    a = rng.standard_normal((1, 2, int(rng.integers(1, 4)), int(rng.integers(1, 4))))
-    return _fix_mix(rng, tt.upsample2, (a,)), (a,)
-
-
-def _case_block_sum2(rng):
-    a = rng.standard_normal((1, 2, 2 * int(rng.integers(1, 3)), 2 * int(rng.integers(1, 3))))
-    return _fix_mix(rng, tt._block_sum2, (a,)), (a,)
+def _case_upsample2_conv2d(rng):
+    n, h, w, o = (int(v) for v in rng.integers(1, 4, size=4))
+    arrays = (rng.standard_normal((n, 2, h, w)), rng.standard_normal((o, 2, 3, 3)),
+              rng.standard_normal(o))
+    return _fix_mix(rng, tt.upsample2_conv2d, arrays), arrays
 
 
 def _case_dot(rng):
@@ -339,8 +336,7 @@ _A1_CASES = {
     "bias_sum": _case_bias_sum,
     "bias_broadcast": _case_bias_broadcast,
     "linear": _case_linear,
-    "upsample2": _case_upsample2,
-    "block_sum2": _case_block_sum2,
+    "upsample2_conv2d": _case_upsample2_conv2d,
     "dot": _case_dot,
     "dot_segments": _case_dot_segments,
     "softmax_cross_entropy": _case_softmax_ce,
@@ -385,7 +381,7 @@ def test_a1_gradient_correctness():
         assert err <= 1e-4, f"double backward ({matching}): rel err {err:.3e} > 1e-4"
 
     # and through the fused conv layers: a convnet objective with the AS
-    # prior (its autoencoder runs conv, upsample2 and sigmoid) and TV
+    # prior (its autoencoder runs conv, upsample2_conv2d and sigmoid) and TV
     conv = nn.init_classifier("convnet", in_shape=(3, 8, 8), num_classes=4,
                               seed=23, channels=(2, 3, 3))
     ae = nn.init_autoencoder(seed=24, widths=(2, 3))

@@ -336,6 +336,19 @@ def test_matching_node_refuses_create_graph():
             tt.grad(total, [xv], create_graph=True)
 
 
+def test_as_loss_refuses_create_graph():
+    # the decoder's sub-pixel layers have numpy vjps: a second derivative
+    # through the AS term raises instead of returning a detached gradient
+    ae = nn.init_autoencoder(seed=6, widths=(2, 3))
+    xv = tt.variable(np.random.default_rng(21).random((1, 3, 8, 8)))
+    with pytest.raises(ArgumentError, match="upsample2_conv2d.*first-order"):
+        tt.grad(losses.as_loss(xv, ae), [xv], create_graph=True)
+    with pytest.raises(ArgumentError, match="first-order"):
+        tt.grad(losses.as_loss(tt.constant(xv.data), ae), ae.tensors, create_graph=True)
+    (g,) = tt.grad(losses.as_loss(xv, ae), [xv])
+    assert not g.requires_grad and np.any(g.data != 0.0)
+
+
 def test_matching_node_guards():
     theta_g, truth, labels, target = _setup_objective()
     x = tt.variable(truth)
