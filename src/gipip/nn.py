@@ -14,15 +14,18 @@ Autoencoder (input spatial dims must be divisible by 4):
   encoder  conv k3 s2 p1 + relu, twice        C -> widths[0] -> widths[1]
   decoder  2 x (nearest-upsample x2 + conv k3 s1 p1), relu between, sigmoid out
 
-Each decoder layer is one ``tensor.upsample2_conv2d`` node: the same
-function, computed as four sub-pixel k2 convs of the low-resolution input,
-so the upsampled tensor is never built.  Its vjps are numpy, so the
-autoencoder is differentiable to first order only.
+The autoencoder runs in numpy (``AutoEncoderPass``): each decoder layer is
+``tensor.upsample2_conv2d``'s kernels, four sub-pixel k2 convs of the
+low-resolution input, so the upsampled tensor is never built.
+``forward_autoencoder`` is one first-order node over that pass, and the
+classifier's parameter gradient has its numpy pass too
+(``ClassifierGradient``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +115,13 @@ class AutoEncoderParams(_ParamOps):
     in_channels: int
     widths: tuple[int, int]
     items: tuple[tuple[str, Tensor], ...]
+
+    @cached_property
+    def phase_kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        """The decoder layers' [4*O, 4*C] sub-pixel kernels, computed once:
+        every attack step of a run uses the same parameters."""
+        return tuple(tt._phase_kernels(self.tensor(f"{name}_w").data)
+                     for name in ("dec1", "dec2"))
 
 
 def _conv_out(h: int, k: int, s: int, p: int) -> int:
@@ -327,8 +337,7 @@ def init_autoencoder(in_channels: int = 3,
     return AutoEncoderParams(in_channels=in_channels, widths=(w1, w2), items=tuple(items))
 
 
-def forward_autoencoder(params: AutoEncoderParams, images: Tensor) -> Tensor:
-    """Reconstruction of the batch, same shape as input, values in (0, 1)."""
+def _check_autoencoder_input(params: AutoEncoderParams, images: Tensor) -> None:
     if not isinstance(images, Tensor):
         raise ArgumentError("images must be a Tensor")
     if images.ndim != 4:
@@ -338,9 +347,90 @@ def forward_autoencoder(params: AutoEncoderParams, images: Tensor) -> Tensor:
         raise DimensionError(f"autoencoder expects {params.in_channels} channels, got {c}")
     if h % 4 != 0 or w % 4 != 0:
         raise DimensionError(f"autoencoder needs spatial dims divisible by 4, got {h}x{w}")
-    p = params.tensor
-    x = tt.relu(tt.conv2d(images, p("enc1_w"), 2, 1, bias=p("enc1_b")))
-    x = tt.relu(tt.conv2d(x, p("enc2_w"), 2, 1, bias=p("enc2_b")))
-    x = tt.relu(tt.upsample2_conv2d(x, p("dec1_w"), p("dec1_b")))
-    x = tt.upsample2_conv2d(x, p("dec2_w"), p("dec2_b"))
-    return tt.sigmoid(x)
+
+
+def _relu(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the activation (z's array, overwritten) and its mask
+    mask = z > 0
+    return np.maximum(z, 0.0, out=z), mask
+
+
+class AutoEncoderPass:
+    """The autoencoder's forward pass in numpy, and its two adjoints.
+
+    It keeps the input ``x``, the hidden activations ``a1..a3``, their relu
+    masks and the reconstruction ``out``, never a patch matrix: each layer
+    unfolds its input again in the parameter sweep.  The decoder layers are
+    ``tensor.upsample2_conv2d``'s kernels on the parameters' cached phase
+    kernels.  ``input_vjp(g)`` maps a cotangent of ``out`` to x (the
+    attack's adjoint); ``param_grads(g)`` maps it to every parameter by one
+    sweep from the decoder down (prior training's).  The relu masks are
+    constants there, as in the engine.
+    """
+
+    def __init__(self, params: AutoEncoderParams, images: Tensor):
+        _check_autoencoder_input(params, images)
+        self.x = x = images.data
+        w1, b1, w2, b2, _, b3, _, b4 = (t.data for t in params.tensors)
+        self.kernels = (w1, w2) + params.phase_kernels
+        self.a1, self.m1 = _relu(self._encode(x, w1, b1))
+        self.a2, self.m2 = _relu(self._encode(self.a1, w2, b2))
+        self.a3, self.m3 = _relu(tt._upsample2_conv2d_data(self.a2, self.kernels[2], b3))
+        z = tt._upsample2_conv2d_data(self.a3, self.kernels[3], b4)
+        # sigmoid, exp(-|z|) on either branch so neither overflows
+        e = np.exp(-np.abs(z))
+        self.out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    @staticmethod
+    def _encode(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # conv k3 s2 p1; the patch matrix lives only for this call
+        n, _, h, wd = x.shape
+        return tt._conv2d_data(tt._im2col_data(x, 3, 2, 1), w, (n, h, wd), 2, 1, b)
+
+    def input_vjp(self, g: np.ndarray) -> np.ndarray:
+        """Cotangent of x for a cotangent ``g`` of the reconstruction."""
+        w1, w2, k3, k4 = self.kernels
+        g = g * (self.out * (1.0 - self.out))
+        g = tt._upsample2_conv2d_dx_data(g, k4) * self.m3
+        g = tt._upsample2_conv2d_dx_data(g, k3) * self.m2
+        g = tt._conv2d_dx_data(g, w2, self.a1.shape[2:], 2, 1) * self.m1
+        return tt._conv2d_dx_data(g, w1, self.x.shape[2:], 2, 1)
+
+    def param_grads(self, g: np.ndarray) -> list[np.ndarray]:
+        """Cotangents of the parameters, in canonical order, for a cotangent
+        ``g`` of the reconstruction."""
+        w1, w2, k3, k4 = self.kernels
+        g = g * (self.out * (1.0 - self.out))
+        dec2 = [tt._upsample2_conv2d_dw_data(self.a3, g), g.sum(axis=(0, 2, 3))]
+        g = tt._upsample2_conv2d_dx_data(g, k4) * self.m3
+        dec1 = [tt._upsample2_conv2d_dw_data(self.a2, g), g.sum(axis=(0, 2, 3))]
+        g = tt._upsample2_conv2d_dx_data(g, k3) * self.m2
+        enc2 = [tt._conv2d_dw_data(tt._im2col_data(self.a1, 3, 2, 1), g, w2.shape[1], 3),
+                g.sum(axis=(0, 2, 3))]
+        g = tt._conv2d_dx_data(g, w2, self.a1.shape[2:], 2, 1) * self.m1
+        enc1 = [tt._conv2d_dw_data(tt._im2col_data(self.x, 3, 2, 1), g, w1.shape[1], 3),
+                g.sum(axis=(0, 2, 3))]
+        return enc1 + enc2 + dec1 + dec2
+
+    def param_vjps(self, out_cot=None) -> tuple:
+        """One vjp per parameter for a node whose cotangent g gives the
+        reconstruction's as ``out_cot(g)`` (g itself by default).  The first
+        call for a g runs ``param_grads`` for all of them."""
+        last = [None, None]
+
+        def vjp(i):
+            def run(g):
+                if last[0] is not g:
+                    last[:] = g, self.param_grads(g if out_cot is None else out_cot(g))
+                return last[1][i]
+            return run
+
+        return tuple(vjp(i) for i in range(8))
+
+
+def forward_autoencoder(params: AutoEncoderParams, images: Tensor) -> Tensor:
+    """Reconstruction of the batch, same shape as input, values in (0, 1):
+    one first-order node over an ``AutoEncoderPass``."""
+    ae = AutoEncoderPass(params, images)
+    return tt.first_order("autoencoder", ae.out, (images,) + params.tensors,
+                          (ae.input_vjp,) + ae.param_vjps())

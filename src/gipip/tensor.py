@@ -4,11 +4,11 @@
 (``create_graph=True``), so every primitive expresses its vector-Jacobian
 product in terms of other primitives; nothing drops to raw numpy on the
 backward path unless gradients are globally off.  The attack no longer
-relies on it: its gradient-of-a-gradient is the matching term's fused node
-(``losses.matching_loss``), a ``first_order`` node whose vjp is a numpy
-sweep built from this module's private ``*_data`` conv kernels, and which
-refuses ``create_graph=True``.  The autoencoder's decoder layers
-(``upsample2_conv2d``) are ``first_order`` nodes too.
+relies on it: its whole objective (``losses.total_objective``) is one
+``first_order`` node whose vjp is numpy, built on this module's private
+``*_data`` conv and sub-pixel kernels, and which refuses
+``create_graph=True``.  The decoder layer ``upsample2_conv2d`` is a
+``first_order`` node on the same kernels.
 
 Conventions:
   * arrays are float64,
@@ -529,6 +529,36 @@ def _phase_planes(g: np.ndarray) -> np.ndarray:
     return planes.reshape(4 * o, -1)
 
 
+def _upsample2_conv2d_data(x: np.ndarray, kmat: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """upsample2_conv2d on arrays, from the [4*O, 4*C] phase kernels ``kmat``."""
+    n, _, h, w = x.shape
+    o = b.shape[0]
+    prod = kmat @ _im2col_data(x, 2, 1, 1)                  # [4o, n*(h+1)*(w+1)]
+    prod.reshape(4, o, -1)[...] += b[:, None]
+    out = np.empty((n, o, 2 * h, 2 * w), dtype=prod.dtype)
+    for plane, phase in _phases(prod.reshape(2, 2, o, n, h + 1, w + 1), out):
+        phase[...] = plane
+    return out
+
+
+def _upsample2_conv2d_dx_data(g: np.ndarray, kmat: np.ndarray) -> np.ndarray:
+    """Input adjoint of upsample2_conv2d on arrays: the transposed phase conv."""
+    n, o, h2, w2 = g.shape
+    h, w = h2 // 2, w2 // 2
+    planes = _phase_planes(g).reshape(4 * o, n, h + 1, w + 1).transpose(1, 0, 2, 3)
+    return _conv2d_dx_data(planes, kmat.reshape(4 * o, -1, 2, 2), (h, w), 1, 1)
+
+
+def _upsample2_conv2d_dw_data(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Kernel adjoint of upsample2_conv2d on arrays: the phase-kernel gradient
+    mapped back onto the 3x3 taps.  It unfolds x itself: holding the
+    forward's patch matrix costs a prior-training batch more memory than the
+    unfold costs time."""
+    o, c = g.shape[1], x.shape[1]
+    dk = (_phase_planes(g) @ _im2col_data(x, 2, 1, 1).T).reshape(2, 2, o, c, 2, 2)
+    return (dk.transpose(2, 3, 0, 1, 4, 5).reshape(o * c, 16) @ _PHASE_MIX).reshape(o, c, 3, 3)
+
+
 def upsample2_conv2d(x, w, b) -> Tensor:
     """Nearest-neighbour x2 upsampling of NCHW, then a k3/s1/p1 conv with bias.
 
@@ -542,30 +572,16 @@ def upsample2_conv2d(x, w, b) -> Tensor:
     x, w, b = _coerce(x), _coerce(w), _coerce(b)
     if x.ndim != 4:
         raise DimensionError(f"upsample2_conv2d input must be NCHW, got rank {x.ndim}")
-    n, c, h, wd = x.shape
+    c = x.shape[1]
     o = w.shape[0]
     if w.shape != (o, c, 3, 3) or b.shape != (o,):
         raise DimensionError(f"upsample2_conv2d: input {x.shape} against kernels "
                              f"{w.shape} (want [O, {c}, 3, 3]), bias {b.shape}")
     kmat = _phase_kernels(w.data)
-    prod = kmat @ _im2col_data(x.data, 2, 1, 1)            # [4o, n*(h+1)*(wd+1)]
-    prod.reshape(4, o, -1)[...] += b.data[:, None]
-    out = np.empty((n, o, 2 * h, 2 * wd), dtype=prod.dtype)
-    for plane, phase in _phases(prod.reshape(2, 2, o, n, h + 1, wd + 1), out):
-        phase[...] = plane
-
-    def dx(g):
-        planes = _phase_planes(g).reshape(4 * o, n, h + 1, wd + 1).transpose(1, 0, 2, 3)
-        return _conv2d_dx_data(planes, kmat.reshape(4 * o, c, 2, 2), (h, wd), 1, 1)
-
-    def dw(g):
-        # x is unfolded again: holding the patch matrix for the graph's life
-        # costs a prior-training batch more memory than the unfold costs time
-        dk = (_phase_planes(g) @ _im2col_data(x.data, 2, 1, 1).T).reshape(2, 2, o, c, 2, 2)
-        return (dk.transpose(2, 3, 0, 1, 4, 5).reshape(o * c, 16) @ _PHASE_MIX).reshape(o, c, 3, 3)
-
-    return first_order("upsample2_conv2d", out, (x, w, b),
-                       (dx, dw, lambda g: g.sum(axis=(0, 2, 3))))
+    return first_order("upsample2_conv2d", _upsample2_conv2d_data(x.data, kmat, b.data),
+                       (x, w, b), (lambda g: _upsample2_conv2d_dx_data(g, kmat),
+                                   lambda g: _upsample2_conv2d_dw_data(x.data, g),
+                                   lambda g: g.sum(axis=(0, 2, 3))))
 
 
 def _conv_out_hw(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int, int]:
@@ -785,9 +801,10 @@ def first_order(op: str, value, parents: tuple[Tensor, ...], vjps: tuple) -> Ten
     output cotangent's array to the array of ``parents[i]``.
 
     It serves a fused function whose derivative is written by hand (the
-    matching term, the sub-pixel decoder layer).  Its cotangents are
-    constants, so differentiating through it again would silently drop every
-    second-order term; ``backward(create_graph=True)`` raises instead.
+    attack objective and its terms, the autoencoder, the sub-pixel decoder
+    layer).  Its cotangents are constants, so differentiating through it
+    again would silently drop every second-order term;
+    ``backward(create_graph=True)`` raises instead.
     """
     def vjp_node(vjp):
         def run(g):
@@ -838,12 +855,10 @@ def backward(out: Tensor, wrt, create_graph: bool = False) -> dict[int, Tensor]:
 
     # a node is useful if a wrt variable feeds it (ids grow monotonically,
     # so ascending id order visits parents before consumers)
+    order = sorted(nodes)
     useful = set(wrt_ids)
-    for nid in sorted(nodes):
-        node = nodes[nid]
-        if nid in useful:
-            continue
-        if any(p.nid in useful for p in node.parents):
+    for nid in order:
+        if nid not in useful and any(p.nid in useful for p in nodes[nid].parents):
             useful.add(nid)
 
     cot: dict[int, Tensor] = {}
@@ -852,7 +867,7 @@ def backward(out: Tensor, wrt, create_graph: bool = False) -> dict[int, Tensor]:
 
     sweep_ctx = _keep_grad() if create_graph else no_grad()
     with sweep_ctx:
-        for nid in sorted(nodes, reverse=True):
+        for nid in reversed(order):
             if nid not in cot:
                 continue
             node = nodes[nid]

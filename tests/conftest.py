@@ -1,11 +1,19 @@
 """Shared test helpers: finite-difference oracles and small cached models."""
 
-import numpy as np
-import pytest
+import os
 
-from gipip import nn, prior
-from gipip import tensor as tt
-from gipip.data import synthetic_textures
+# one BLAS thread, unless the caller chose otherwise: the matrices here are
+# small, and a second thread per process oversubscribes the cores when the
+# tests start worker pools.  OpenBLAS reads these when numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from gipip import nn, prior  # noqa: E402
+from gipip import tensor as tt  # noqa: E402
+from gipip.data import synthetic_textures  # noqa: E402
 
 
 def rel_err(got: np.ndarray, want: np.ndarray) -> float:

@@ -337,14 +337,23 @@ def test_matching_node_refuses_create_graph():
 
 
 def test_as_loss_refuses_create_graph():
-    # the decoder's sub-pixel layers have numpy vjps: a second derivative
-    # through the AS term raises instead of returning a detached gradient
+    # the AS term, the autoencoder and the whole objective are first-order
+    # nodes with numpy vjps: a second derivative through any of them raises
+    # instead of returning a detached gradient
     ae = nn.init_autoencoder(seed=6, widths=(2, 3))
     xv = tt.variable(np.random.default_rng(21).random((1, 3, 8, 8)))
-    with pytest.raises(ArgumentError, match="upsample2_conv2d.*first-order"):
+    with pytest.raises(ArgumentError, match="as_loss.*first-order"):
         tt.grad(losses.as_loss(xv, ae), [xv], create_graph=True)
     with pytest.raises(ArgumentError, match="first-order"):
         tt.grad(losses.as_loss(tt.constant(xv.data), ae), ae.tensors, create_graph=True)
+    with pytest.raises(ArgumentError, match="autoencoder.*first-order"):
+        tt.grad(nn.forward_autoencoder(ae, xv).sum(), [xv], create_graph=True)
+    theta_g, truth, labels, target = _setup_objective()
+    xo = tt.variable(np.random.default_rng(22).random(truth.shape))
+    total, _ = losses.total_objective(xo, theta_g, labels, target,
+                                      losses.LossWeights(1e-3, 1e-2), theta_a=ae)
+    with pytest.raises(ArgumentError, match="objective.*first-order"):
+        tt.grad(total, [xo], create_graph=True)
     (g,) = tt.grad(losses.as_loss(xv, ae), [xv])
     assert not g.requires_grad and np.any(g.data != 0.0)
 
@@ -365,6 +374,120 @@ def test_matching_node_guards():
     wrong = GradientVector(target.names, target.tensors[:-1] + (tt.constant([0.0]),))
     with pytest.raises(DimensionError):
         losses.matching_loss(x, theta_g, labels, wrong, "mse")
+
+
+# ---------------------------------------------------------------- the objective as one node
+
+def _graph_autoencoder(params, x):
+    """The autoencoder composed of engine nodes, the reference for
+    ``nn.AutoEncoderPass``: conv, relu, sub-pixel decoder layers, sigmoid."""
+    p = params.tensor
+    a = tt.relu(tt.conv2d(x, p("enc1_w"), 2, 1, bias=p("enc1_b")))
+    a = tt.relu(tt.conv2d(a, p("enc2_w"), 2, 1, bias=p("enc2_b")))
+    a = tt.relu(tt.upsample2_conv2d(a, p("dec1_w"), p("dec1_b")))
+    return tt.sigmoid(tt.upsample2_conv2d(a, p("dec2_w"), p("dec2_b")))
+
+
+def _graph_as_loss(x, params):
+    r = tt.sub(_graph_autoencoder(params, x), x)
+    return tt.sum_to(tt.mul(r, r), (x.shape[0], 1, 1, 1)).sum()
+
+
+def _graph_tv_loss(x):
+    n, c, h, w = x.shape
+    dx = tt.sub(tt.slice_hw(x, 0, h, 1, w), tt.slice_hw(x, 0, h, 0, w - 1))
+    dy = tt.sub(tt.slice_hw(x, 1, h, 0, w), tt.slice_hw(x, 0, h - 1, 0, w))
+    return tt.add(tt.dot(dx, dx), tt.dot(dy, dy))
+
+
+def _graph_total_objective(x, theta_g, labels, target, weights, theta_a, matching):
+    total = losses.matching_loss(x, theta_g, labels, target, kind=matching)
+    if weights.lambda_as > 0:
+        total = tt.add(total, tt.mul(_graph_as_loss(x, theta_a), weights.lambda_as))
+    if weights.lambda_tv > 0:
+        total = tt.add(total, tt.mul(_graph_tv_loss(x), weights.lambda_tv))
+    return total
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+_METHOD_WEIGHTS = {"gipip": (losses.LossWeights(1e-4, 1e-2), "cosine"),
+                   "ig": (losses.LossWeights(0.0, 1e-2), "cosine"),
+                   "dlg": (losses.LossWeights(0.0, 0.0), "mse")}
+
+
+@pytest.fixture(scope="module")
+def attack_models():
+    # the attack's geometry: convnet and autoencoder on 3x32x32
+    return (nn.init_classifier("convnet", in_shape=(3, 32, 32), num_classes=10, seed=61),
+            nn.init_autoencoder(seed=62))
+
+
+@pytest.mark.parametrize("method", sorted(_METHOD_WEIGHTS))
+@pytest.mark.parametrize("batch", (1, 4, 8))
+def test_total_objective_is_bit_exact_against_the_engine_graph(attack_models, method, batch):
+    theta_g, ae = attack_models
+    weights, kind = _METHOD_WEIGHTS[method]
+    rng = np.random.default_rng(63 + batch)
+    labels = rng.integers(0, 10, batch)
+    target = losses.classifier_gradient(theta_g, tt.constant(rng.random((batch, 3, 32, 32))),
+                                        labels)
+    # clipped like an attack iterate: runs of exact 0s and 1s give zero
+    # differences and saturated pixels, where the sign of a zero can differ
+    x = np.clip(rng.normal(0.5, 0.6, (batch, 3, 32, 32)), 0.0, 1.0)
+    xv = tt.variable(x)
+    total, parts = losses.total_objective(xv, theta_g, labels, target, weights,
+                                          theta_a=ae, matching=kind)
+    (gx,) = tt.grad(total, [xv])
+    xr = tt.variable(x)
+    ref = _graph_total_objective(xr, theta_g, labels, target, weights, ae, kind)
+    (want,) = tt.grad(ref, [xr])
+    assert total.item() == ref.item() == parts["total"]
+    # the breakdown goes into the trace CSVs, which print Python floats
+    assert all(type(v) is float for v in parts.values())
+    assert _same_bits(gx.data, want.data)
+    assert len(total.parents) == 1 and total.parents[0] is xv
+
+
+@pytest.mark.parametrize("batch", (1, 16))
+def test_prior_training_gradients_are_bit_exact_against_the_engine_graph(batch):
+    # one prior-training batch: the mean anomaly score's parameter gradients
+    ae = nn.init_autoencoder(seed=64)
+    xb = tt.constant(np.random.default_rng(65 + batch).random((batch, 3, 32, 32)))
+    loss = tt.mul(losses.as_loss(xb, ae), 1.0 / batch)
+    ref = tt.mul(_graph_as_loss(xb, ae), 1.0 / batch)
+    assert loss.item() == ref.item()
+    for got, want in zip(tt.grad(loss, ae.tensors), tt.grad(ref, ae.tensors)):
+        assert _same_bits(got.data, want.data)
+
+
+def test_autoencoder_node_is_bit_exact_against_the_engine_graph():
+    ae = nn.init_autoencoder(seed=66)
+    rng = np.random.default_rng(67)
+    x = rng.random((3, 3, 32, 32))
+    mix = tt.constant(rng.standard_normal((3, 3, 32, 32)))
+    xv, xr = tt.variable(x), tt.variable(x)
+    y = nn.forward_autoencoder(ae, xv)
+    want_y = _graph_autoencoder(ae, xr)
+    assert _same_bits(y.data, want_y.data)
+    got = tt.grad(tt.dot(y, mix), (xv,) + ae.tensors)
+    want = tt.grad(tt.dot(want_y, mix), (xr,) + ae.tensors)
+    for g, w in zip(got, want):
+        assert _same_bits(g.data, w.data)
+
+
+def test_tv_and_as_nodes_are_bit_exact_against_the_engine_graph():
+    ae = nn.init_autoencoder(seed=68, widths=(4, 6))
+    x = np.clip(np.random.default_rng(69).normal(0.5, 0.6, (2, 3, 8, 12)), 0.0, 1.0)
+    for node, graph in ((losses.tv_loss, _graph_tv_loss),
+                        (lambda v: losses.as_loss(v, ae), lambda v: _graph_as_loss(v, ae))):
+        xv, xr = tt.variable(x), tt.variable(x)
+        got, want = node(xv), graph(xr)
+        assert got.item() == want.item()
+        assert _same_bits(tt.grad(got, [xv])[0].data, tt.grad(want, [xr])[0].data)
 
 
 def test_loss_weights_validation():

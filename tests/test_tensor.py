@@ -567,14 +567,14 @@ def test_attack_step_leaves_no_cyclic_garbage():
 
 
 def test_attack_step_node_budget():
-    # the matching term is one fused node and the priors one node per
-    # layer, the decoder's upsample-and-conv included: a gipip step makes 70
-    # tensors; the margin is kept small so the graph cannot regrow unnoticed
+    # the whole objective, AS and TV priors included, is one first-order
+    # node: a gipip step makes 3 tensors (that node, backward's seed and x's
+    # cotangent); the margin is kept small so the graph cannot regrow unnoticed
     step = _gipip_step()
     first = tt.constant(0.0).nid
     step()
     created = tt.constant(0.0).nid - first - 1
-    assert created <= 76, created
+    assert created <= 5, created
 
 
 # ---------------------------------------------------------------------------
