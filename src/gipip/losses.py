@@ -91,10 +91,11 @@ def gradient_matching(pred: GradientVector, target: GradientVector,
 
 
 def _fold(cots: list[np.ndarray]) -> np.ndarray:
-    # x's cotangent parts added left to right, as the engine's sweep adds them
+    # x's cotangent parts added left to right, as the engine's sweep adds them;
+    # every part is a fresh array, so the sum accumulates into the first
     acc = cots[0]
     for c in cots[1:]:
-        acc = acc + c
+        acc += c
     return acc
 
 
@@ -103,25 +104,31 @@ def _term_node(op: str, x: Tensor, value: float, x_cots) -> Tensor:
     return tt.first_order(op, value, (x,), (lambda g: _fold(x_cots(g)),))
 
 
-def _embed(a: np.ndarray, shape, hs: int, ws: int) -> np.ndarray:
-    # a placed at (hs, ws) on a zero NCHW canvas
-    out = np.zeros(shape, dtype=a.dtype)
-    out[:, :, hs:hs + a.shape[2], ws:ws + a.shape[3]] = a
-    return out
-
-
 def _tv_term(xd: np.ndarray):
-    """R_tv(x) as (value, x_cots): x_cots(g) lists x's cotangent parts for a
-    cotangent g of the value, in the order the engine's sweep adds them over
-    the slice/dot composition of TV."""
+    """R_tv(x) as (value, x_cots): x_cots(g) is x's cotangent for a cotangent
+    g of the value, as one part.
+
+    The engine's sweep over the slice/dot composition of TV adds four parts,
+    each a difference term on a zero canvas: rows 0:h-1, rows 1:h, columns
+    0:w-1, columns 1:w.  They are added here in that order, in place on one
+    canvas; the row or column a part leaves out gets its +0.0, which turns a
+    -0.0 there into +0.0, so the sum is the sweep's to the last bit."""
     dx = xd[:, :, :, 1:] - xd[:, :, :, :-1]
     dy = xd[:, :, 1:, :] - xd[:, :, :-1, :]
 
     def x_cots(g):
         gx, gy = g * dx, g * dy
-        gx, gy = gx + gx, gy + gy
-        return [_embed(-gy, xd.shape, 0, 0), _embed(gy, xd.shape, 1, 0),
-                _embed(-gx, xd.shape, 0, 0), _embed(gx, xd.shape, 0, 1)]
+        gx += gx
+        gy += gy
+        acc = np.zeros_like(xd)
+        np.negative(gy, out=acc[:, :, :-1])
+        acc[:, :, 1:] += gy
+        acc[:, :, :1] += 0.0
+        acc[:, :, :, :-1] -= gx
+        acc[:, :, :, -1:] += 0.0
+        acc[:, :, :, 1:] += gx
+        acc[:, :, :, :1] += 0.0
+        return [acc]
 
     return tt._dot_data([dx], [dx]) + tt._dot_data([dy], [dy]), x_cots
 
@@ -131,7 +138,7 @@ def tv_loss(x: Tensor) -> Tensor:
 
     Only valid neighbor pairs count (no wrap-around), both axes:
     sum_ij |x[i, j+1] - x[i, j]|^2 + |x[i+1, j] - x[i, j]|^2.  One node
-    with parent x; its vjp is the four shifted difference terms.
+    with parent x; its vjp sums the four shifted difference terms.
     """
     if not isinstance(x, Tensor):
         x = tt.constant(x)

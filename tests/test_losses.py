@@ -490,6 +490,19 @@ def test_tv_and_as_nodes_are_bit_exact_against_the_engine_graph():
         assert _same_bits(tt.grad(got, [xv])[0].data, tt.grad(want, [xr])[0].data)
 
 
+@pytest.mark.parametrize("scale", (1.0, -1.0))
+def test_tv_node_keeps_the_engine_graphs_signed_zeros(scale):
+    # runs of equal pixels, some -0.0: zero differences of either sign, where
+    # the four parts' zero margins decide the sign of a zero in the sum
+    x = np.random.default_rng(70).choice([-0.0, 0.0, 0.5, 1.0], size=(4, 3, 8, 9),
+                                         p=[0.45, 0.45, 0.05, 0.05])
+    xv, xr = tt.variable(x), tt.variable(x)
+    got = tt.grad(tt.mul(losses.tv_loss(xv), scale), [xv])[0]
+    want = tt.grad(tt.mul(_graph_tv_loss(xr), scale), [xr])[0]
+    assert np.signbit(want.data).any() and (want.data == 0.0).any()
+    assert _same_bits(got.data, want.data)
+
+
 def test_loss_weights_validation():
     with pytest.raises(ConfigurationError):
         losses.LossWeights(lambda_as=-1e-4)
