@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as tt
 from .errors import (ArgumentError, ConfigurationError, ContractError,
                      DimensionError, NumericError, OracleInapplicableError)
 from .flsim import SharedGradient, model_fingerprint
-from .losses import LossWeights, total_objective
+from .losses import total_objective
 from .nn import AutoEncoderParams, ClassifierParams
 
 METHODS = ("dlg", "ig", "gipip")
@@ -268,15 +267,9 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
 
     n = shared.batch_size
     c, h, w = theta_g.in_shape
-    weights = LossWeights(lambda_as=config.lambda_as, lambda_tv=config.lambda_tv)
-    labels = shared.labels
 
     def objective(x_arr: np.ndarray):
-        x_var = tt.variable(x_arr)
-        total, parts = total_objective(x_var, theta_g, labels, shared.gradient,
-                                       weights, theta_a=theta_a,
-                                       matching=config.matching)
-        return x_var, total, parts
+        return total_objective(x_arr, theta_g, shared.labels, shared.gradient, config, theta_a)
 
     t_start = time.monotonic()
     best = None
@@ -291,9 +284,8 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
             state = LbfgsState()
 
             def closure(flat):
-                x_var, total, _ = objective(flat.reshape(n, c, h, w))
-                (gx,) = tt.grad(total, [x_var])
-                return float(total.data), gx.data.ravel().copy()
+                parts, grad = objective(flat.reshape(n, c, h, w))
+                return parts["total"], grad().ravel()
 
             xf = x.ravel().copy()
             f, g = closure(xf)
@@ -322,17 +314,16 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
             for t in range(config.iterations):
                 if t > 0 and t in drops:
                     lr *= 0.1
-                x_var, total, parts = objective(x)
+                parts, grad = objective(x)
                 if t % config.record_every == 0:
                     trace.append((t, parts["grad"], parts["as"], parts["tv"], parts["total"]))
                 _finite_or_raise(parts["total"], "objective", trace)
-                (gx,) = tt.grad(total, [x_var])
-                (x,), state = adam_step(state, (x,), (gx.data,), lr)
+                (x,), state = adam_step(state, (x,), (grad(),), lr)
                 if config.clamp:
                     x = np.clip(x, 0.0, 1.0)
 
         # final breakdown at the last iterate
-        _, final_parts = objective(x)[1:]
+        final_parts = objective(x)[0]
         _finite_or_raise(final_parts["total"], "final objective", trace)
         if config.iterations % config.record_every == 0:
             trace.append((config.iterations, final_parts["grad"], final_parts["as"],

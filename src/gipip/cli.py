@@ -66,7 +66,8 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         if np.isinf(value):
             return "inf" if value > 0 else "-inf"
-        return repr(value)
+        # float() first: a numpy float64 is a float whose repr is np.float64(...)
+        return repr(float(value))
     return str(value)
 
 

@@ -108,7 +108,7 @@ def client_compute_gradient(theta_g: ClassifierParams, batch: ClientBatch) -> Sh
         raise ArgumentError(f"labels must lie in [0, {theta_g.num_classes})")
     # what is shared are values: C-ordered constant leaves, which pickle
     # and lay out the same in every process that receives them
-    gv = classifier_gradient(theta_g, batch.images, labels)
+    gv = classifier_gradient(theta_g, batch.images.data, labels)
     return SharedGradient(gradient=gv,
                           batch_size=batch.size,
                           labels=labels.copy(),

@@ -14,37 +14,29 @@ value to the parts of x's cotangent.  The matching term's comes from
 ``nn.ClassifierGradient``: grad_x <g'(x), v> with v = dD/dg' in closed form,
 one hand-written reverse sweep through the classifier's backward pass.  The
 anomaly score's is the residual's plus the input adjoint of an
-``nn.AutoEncoderPass``, and TV's is closed form.  ``total_objective`` is one
-first-order node with parent x over the three pairs; ``matching_loss``,
-``as_loss`` and ``tv_loss`` are one node each.  The maps run only when the
-objective is differentiated, and only to first order.  ``gradient_matching``
-is D on two gradient vectors, built of graph nodes.
+``nn.AutoEncoderPass``, and TV's is closed form.  ``total_objective`` returns
+the terms' values and a function that runs the maps for grad_x total, so
+they run only when the gradient is asked for.  ``as_loss`` and ``tv_loss``
+are the values alone.  ``gradient_matching`` is D on two gradient vectors,
+built of graph nodes: with the engine's double backward it is the
+reference the tests hold the matching term to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as tt
-from .errors import ArgumentError, ConfigurationError, DimensionError
+from .errors import ArgumentError, DimensionError
 from .nn import AutoEncoderParams, AutoEncoderPass, ClassifierGradient, ClassifierParams
 from .tensor import GradientVector, Tensor
 
+if TYPE_CHECKING:
+    from .attack import AttackConfig
+
 MATCHING_KINDS = ("cosine", "mse")
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the two image priors in the total objective."""
-
-    lambda_as: float = 1e-4
-    lambda_tv: float = 1e-2
-
-    def __post_init__(self):
-        if self.lambda_as < 0 or self.lambda_tv < 0:
-            raise ConfigurationError(f"loss weights must be >= 0, got {self}")
 
 
 def _check_pair(names, tensors, target: GradientVector) -> None:
@@ -99,11 +91,6 @@ def _fold(cots: list[np.ndarray]) -> np.ndarray:
     return acc
 
 
-def _term_node(op: str, x: Tensor, value: float, x_cots) -> Tensor:
-    # one first-order node with parent x over a term's (value, x_cots) pair
-    return tt.first_order(op, value, (x,), (lambda g: _fold(x_cots(g)),))
-
-
 def _tv_term(xd: np.ndarray):
     """R_tv(x) as (value, x_cots): x_cots(g) is x's cotangent for a cotangent
     g of the value, as one part.
@@ -133,69 +120,59 @@ def _tv_term(xd: np.ndarray):
     return tt._dot_data([dx], [dx]) + tt._dot_data([dy], [dy]), x_cots
 
 
-def tv_loss(x: Tensor) -> Tensor:
+def tv_loss(x: np.ndarray) -> float:
     """Squared total variation: sum of squared neighbor differences.
 
     Only valid neighbor pairs count (no wrap-around), both axes:
-    sum_ij |x[i, j+1] - x[i, j]|^2 + |x[i+1, j] - x[i, j]|^2.  One node
-    with parent x; its vjp sums the four shifted difference terms.
+    sum_ij |x[i, j+1] - x[i, j]|^2 + |x[i+1, j] - x[i, j]|^2.
     """
-    if not isinstance(x, Tensor):
-        x = tt.constant(x)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise DimensionError(f"tv_loss expects NCHW, got rank {x.ndim}")
-    return _term_node("tv_loss", x, *_tv_term(x.data))
+    return _tv_term(x)[0]
 
 
-def _as_term(x: Tensor, theta_a: AutoEncoderParams):
-    """R_as(x) as (value, x_cots, recon_cot, pass): ``recon_cot`` maps a
-    cotangent of the value to the reconstruction's, and x_cots lists x's
-    parts, the residual's and then the encoder's, in the order the engine's
-    sweep adds them over the residual's composition."""
+def _as_term(x: np.ndarray, theta_a: AutoEncoderParams):
+    """R_as(x) as (value, x_cots): x_cots lists x's parts, the residual's and
+    then the encoder's, in the order the engine's sweep adds them over the
+    residual's composition."""
     ae = AutoEncoderPass(theta_a, x)
-    r = ae.out - x.data
-
-    def recon_cot(g):
-        gr = g * r
-        return gr + gr
+    r = ae.out - x
 
     def x_cots(g):
-        gr = recon_cot(g)
+        gr = g * r
+        gr = gr + gr
         return [-gr, ae.input_vjp(gr)]
 
     # per-image sums first, then their sum: exactly the sum of anomaly scores
-    value = float((r * r).sum(axis=(1, 2, 3), keepdims=True).sum())
-    return value, x_cots, recon_cot, ae
+    return float((r * r).sum(axis=(1, 2, 3), keepdims=True).sum()), x_cots
 
 
-def as_loss(x: Tensor, theta_a: AutoEncoderParams) -> Tensor:
+def as_loss(x: np.ndarray, theta_a: AutoEncoderParams) -> float:
     """Anomaly score of the batch: reconstruction error under the prior.
 
     The residual is reduced per image first and the per-image scores are
     then summed, so the batch loss is exactly the sum of anomaly scores.
-    One node with parents x and the autoencoder's parameters, over an
-    ``nn.AutoEncoderPass``.
     """
-    value, x_cots, recon_cot, ae = _as_term(x, theta_a)
-    return tt.first_order("as_loss", value, (x,) + theta_a.tensors,
-                          (lambda g: _fold(x_cots(g)),) + ae.param_vjps(recon_cot))
+    return _as_term(x, theta_a)[0]
 
 
-def classifier_gradient(theta_g: ClassifierParams, x: Tensor, labels) -> GradientVector:
+def classifier_gradient(theta_g: ClassifierParams, x: np.ndarray, labels) -> GradientVector:
     """Gradient of the batch-mean cross-entropy wrt every model parameter,
     as constants (``nn.ClassifierGradient``)."""
     pred = ClassifierGradient(theta_g, x, labels)
     return GradientVector(theta_g.names, tuple(tt.constant(a) for a in pred.arrays))
 
 
-def _matching_term(x: Tensor, theta_g: ClassifierParams, labels,
+def _matching_term(x: np.ndarray, theta_g: ClassifierParams, labels,
                    target: GradientVector, kind: str):
     """D(g'(x), g) as (value, x_cots), the value ``gradient_matching`` has on
     ``classifier_gradient(theta_g, x, labels)``, computed in the same
-    operations and order.  x_cots is None where the guard makes the value a
-    constant: a zero-norm prediction under cosine."""
-    if kind not in MATCHING_KINDS:
-        raise ArgumentError(f"unknown matching kind '{kind}', expected one of {MATCHING_KINDS}")
+    operations and order.  x_cots forms v = dD/dg' in closed form (mse:
+    2 (g' - g); cosine: (<g', g>/|g'|^2 g' - g) / (|g'| |g|)) and returns
+    grad_x <g'(x), v>.  The guards are gradient_matching's: a zero-norm
+    target raises, and a zero-norm prediction under cosine gives the value
+    1 with x_cots None, a constant."""
     _check_pair(theta_g.names, theta_g.tensors, target)
     tgt = [t.data for t in target.tensors]
     if kind == "cosine":
@@ -219,60 +196,46 @@ def _matching_term(x: Tensor, theta_g: ClassifierParams, labels,
     return float(1.0 - dot / norm), x_cots
 
 
-def matching_loss(x: Tensor, theta_g: ClassifierParams, labels,
-                  target: GradientVector, kind: str = "cosine") -> Tensor:
-    """D(g'(x), g) as one node with parent x: the value
-    ``gradient_matching(classifier_gradient(theta_g, x, labels), target, kind)``
-    has, computed in the same operations and order.
-
-    Its vjp forms v = dD/dg' in closed form (mse: 2 (g' - g); cosine:
-    (<g', g>/|g'|^2 g' - g) / (|g'| |g|)) and returns grad_x <g'(x), v>.
-    The guards are gradient_matching's: a zero-norm prediction gives the
-    detached constant 1, a zero-norm target raises.
-    """
-    value, x_cots = _matching_term(x, theta_g, labels, target, kind)
-    if x_cots is None:
-        return tt.constant(value)
-    return _term_node("matching", x, value, x_cots)
-
-
-def total_objective(x: Tensor,
+def total_objective(x: np.ndarray,
                     theta_g: ClassifierParams,
                     labels,
                     target: GradientVector,
-                    weights: LossWeights,
-                    theta_a: AutoEncoderParams | None = None,
-                    matching: str = "cosine") -> tuple[Tensor, dict[str, float]]:
-    """Full recovery objective and its per-term breakdown.
+                    config: AttackConfig,
+                    theta_a: AutoEncoderParams | None = None):
+    """Full recovery objective at x: ``(parts, grad)``.
 
-    One first-order node with parent x.  Its value is
-    (grad + lambda_as * as) + lambda_tv * tv, and its vjp adds x's cotangent
-    parts in the order the engine's sweep adds them over the same objective
-    composed of graph nodes: TV's, the AS term's, then the matching term's.
-    The two agree to the last bit; the tests keep that composition as the
-    reference.
+    The weights and the matching kind are the run's ``AttackConfig``'s.
+    ``parts`` holds the raw (unweighted) term values "grad", "as" and "tv"
+    and the total (grad + lambda_as * as) + lambda_tv * tv; the terms
+    recombine to the total exactly when accumulated in that order.  A zero
+    weight skips its term entirely, so a gipip run with lambda_as=0 follows
+    bit-for-bit the same trajectory as ig.
 
-    A zero weight skips its term entirely, so a gipip run with lambda_as=0
-    follows bit-for-bit the same trajectory as ig.  The breakdown dict holds
-    raw (unweighted) term values plus the total; terms recombine to the
-    total exactly when accumulated in grad, as, tv order.
+    ``grad()`` returns grad_x total as a fresh array; the reverse sweeps run
+    only when it is called.  It adds x's cotangent parts in the order the
+    engine's sweep adds them over the same objective composed of graph
+    nodes: TV's, the AS term's, then the matching term's.  The two agree to
+    the last bit; the tests keep that composition as the reference.
     """
-    value, x_cots = _matching_term(x, theta_g, labels, target, matching)
+    value, x_cots = _matching_term(x, theta_g, labels, target, config.matching)
     parts = {"grad": value, "as": 0.0, "tv": 0.0}
     # (weight, x_cots) in the engine's sweep order: TV, AS, matching
     terms = [] if x_cots is None else [(1.0, x_cots)]
-    if weights.lambda_as > 0:
+    if config.lambda_as > 0:
         if theta_a is None:
             raise ArgumentError("lambda_as > 0 needs autoencoder parameters")
-        parts["as"], x_cots = _as_term(x, theta_a)[:2]
-        value = value + parts["as"] * weights.lambda_as
-        terms.insert(0, (weights.lambda_as, x_cots))
-    if weights.lambda_tv > 0:
-        parts["tv"], x_cots = _tv_term(x.data)
-        value = value + parts["tv"] * weights.lambda_tv
-        terms.insert(0, (weights.lambda_tv, x_cots))
+        parts["as"], x_cots = _as_term(x, theta_a)
+        value = value + parts["as"] * config.lambda_as
+        terms.insert(0, (config.lambda_as, x_cots))
+    if config.lambda_tv > 0:
+        parts["tv"], x_cots = _tv_term(x)
+        value = value + parts["tv"] * config.lambda_tv
+        terms.insert(0, (config.lambda_tv, x_cots))
     parts["total"] = value
-    if not terms:
-        return tt.constant(value), parts
-    return _term_node("objective", x, value,
-                      lambda g: [c for w, cots in terms for c in cots(g * w)]), parts
+
+    def grad() -> np.ndarray:
+        if not terms:
+            return np.zeros_like(x)
+        return _fold([c for w, cots in terms for c in cots(w)])
+
+    return parts, grad

@@ -14,12 +14,13 @@ Autoencoder (input spatial dims must be divisible by 4):
   encoder  conv k3 s2 p1 + relu, twice        C -> widths[0] -> widths[1]
   decoder  2 x (nearest-upsample x2 + conv k3 s1 p1), relu between, sigmoid out
 
-The autoencoder runs in numpy (``AutoEncoderPass``): each decoder layer is
-``tensor.upsample2_conv2d``'s kernels, four sub-pixel k2 convs of the
-low-resolution input, so the upsampled tensor is never built.
-``forward_autoencoder`` is one first-order node over that pass, and the
-classifier's parameter gradient has its numpy pass too
-(``ClassifierGradient``).
+The attack and prior training run on numpy passes over these models, never
+on a graph.  ``ClassifierGradient`` gives the classifier's parameter
+gradient and its x-adjoint; ``AutoEncoderPass`` gives the reconstruction
+and its two adjoints, each decoder layer being ``tensor.upsample2_conv2d``'s
+kernels, four sub-pixel k2 convs of the low-resolution input, so the
+upsampled tensor is never built.  ``forward_classifier`` composes engine
+nodes: it is the reference the tests hold ``ClassifierGradient`` to.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ class _ParamOps:
             if n == name:
                 return t
         raise ArgumentError(f"no parameter named '{name}'")
-
-    @property
-    def param_count(self) -> int:
-        return sum(t.size for _, t in self.items)
 
     def to_arrays(self) -> list[np.ndarray]:
         return [t.data.copy() for _, t in self.items]
@@ -177,9 +174,9 @@ def init_classifier(arch: str,
                             items=tuple(items))
 
 
-def _check_images(images: Tensor, in_shape) -> None:
-    if not isinstance(images, Tensor):
-        raise ArgumentError("images must be a Tensor")
+def _check_images(images: np.ndarray, in_shape) -> None:
+    if not isinstance(images, np.ndarray):
+        raise ArgumentError("images must be an array")
     if images.ndim != 4:
         raise DimensionError(f"images must be NCHW, got rank {images.ndim}")
     if tuple(images.shape[1:]) != tuple(in_shape):
@@ -198,7 +195,9 @@ def _affine_layers(params: ClassifierParams) -> list[tuple[Tensor, Tensor]]:
 
 def forward_classifier(params: ClassifierParams, images: Tensor) -> Tensor:
     """Logits [N, num_classes] for a batch of images."""
-    _check_images(images, params.in_shape)
+    if not isinstance(images, Tensor):
+        raise ArgumentError("images must be a Tensor")
+    _check_images(images.data, params.in_shape)
     n = images.shape[0]
     layers = _affine_layers(params)
     x = images
@@ -227,9 +226,8 @@ class ClassifierGradient:
     there, as in the engine.
     """
 
-    def __init__(self, params: ClassifierParams, images: Tensor, labels):
-        _check_images(images, params.in_shape)
-        x = images.data
+    def __init__(self, params: ClassifierParams, x: np.ndarray, labels):
+        _check_images(x, params.in_shape)
         n = x.shape[0]
         self.layers = [(w.data, b.data) for w, b in _affine_layers(params)]
         self.shapes, self.ins, self.masks = [], [], []
@@ -337,9 +335,9 @@ def init_autoencoder(in_channels: int = 3,
     return AutoEncoderParams(in_channels=in_channels, widths=(w1, w2), items=tuple(items))
 
 
-def _check_autoencoder_input(params: AutoEncoderParams, images: Tensor) -> None:
-    if not isinstance(images, Tensor):
-        raise ArgumentError("images must be a Tensor")
+def _check_autoencoder_input(params: AutoEncoderParams, images: np.ndarray) -> None:
+    if not isinstance(images, np.ndarray):
+        raise ArgumentError("images must be an array")
     if images.ndim != 4:
         raise DimensionError(f"images must be NCHW, got rank {images.ndim}")
     n, c, h, w = images.shape
@@ -368,9 +366,9 @@ class AutoEncoderPass:
     constants there, as in the engine.
     """
 
-    def __init__(self, params: AutoEncoderParams, images: Tensor):
-        _check_autoencoder_input(params, images)
-        self.x = x = images.data
+    def __init__(self, params: AutoEncoderParams, x: np.ndarray):
+        _check_autoencoder_input(params, x)
+        self.x = x
         w1, b1, w2, b2, _, b3, _, b4 = (t.data for t in params.tensors)
         self.kernels = (w1, w2) + params.phase_kernels
         self.a1, self.m1 = _relu(self._encode(x, w1, b1))
@@ -412,25 +410,7 @@ class AutoEncoderPass:
                 g.sum(axis=(0, 2, 3))]
         return enc1 + enc2 + dec1 + dec2
 
-    def param_vjps(self, out_cot=None) -> tuple:
-        """One vjp per parameter for a node whose cotangent g gives the
-        reconstruction's as ``out_cot(g)`` (g itself by default).  The first
-        call for a g runs ``param_grads`` for all of them."""
-        last = [None, None]
 
-        def vjp(i):
-            def run(g):
-                if last[0] is not g:
-                    last[:] = g, self.param_grads(g if out_cot is None else out_cot(g))
-                return last[1][i]
-            return run
-
-        return tuple(vjp(i) for i in range(8))
-
-
-def forward_autoencoder(params: AutoEncoderParams, images: Tensor) -> Tensor:
-    """Reconstruction of the batch, same shape as input, values in (0, 1):
-    one first-order node over an ``AutoEncoderPass``."""
-    ae = AutoEncoderPass(params, images)
-    return tt.first_order("autoencoder", ae.out, (images,) + params.tensors,
-                          (ae.input_vjp,) + ae.param_vjps())
+def forward_autoencoder(params: AutoEncoderParams, images: np.ndarray) -> np.ndarray:
+    """Reconstruction of the batch, same shape as input, values in (0, 1)."""
+    return AutoEncoderPass(params, images).out

@@ -23,11 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as tt
 from .attack import adam_init, adam_step
 from .errors import ConfigurationError, DimensionError, FormatError
-from .losses import as_loss
-from .nn import AutoEncoderParams, InitScheme, forward_autoencoder, init_autoencoder
+from .nn import AutoEncoderParams, AutoEncoderPass, InitScheme, init_autoencoder
 
 MODEL_MAGIC = b"GIPIP01\x00"
 
@@ -76,15 +74,14 @@ def train_autoencoder(aux_images: np.ndarray, config: PriorTrainConfig,
         perm = shuffle_rng.permutation(n)
         epoch_sum = 0.0
         for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            xb = tt.constant(aux_images[idx])
-            batch_sum = as_loss(xb, params)
-            loss = tt.mul(batch_sum, 1.0 / len(idx))  # per-image mean, stable lr
-            grads = tt.grad(loss, params.tensors)
-            arrays, state = adam_step(state, params.to_arrays(),
-                                      [g.data for g in grads], config.learning_rate)
+            xb = aux_images[perm[start:start + config.batch_size]]
+            ae = AutoEncoderPass(params, xb)
+            r = ae.out - xb
+            gr = r * (1.0 / len(xb))  # the per-image mean (stable lr): cotangent 2 r / batch
+            arrays, state = adam_step(state, params.to_arrays(), ae.param_grads(gr + gr),
+                                      config.learning_rate)
             params = params.with_values(arrays)
-            epoch_sum += float(batch_sum.data)
+            epoch_sum += float(np.sum(r * r, axis=(1, 2, 3)).sum())
         trace.append(epoch_sum / n)
     return params, trace
 
@@ -96,9 +93,7 @@ def anomaly_score(theta_a: AutoEncoderParams, images: np.ndarray) -> np.ndarray:
         images = images[None]
     if images.ndim != 4:
         raise DimensionError(f"images must be CHW or NCHW, got {images.shape}")
-    with tt.no_grad():
-        recon = forward_autoencoder(theta_a, tt.constant(images))
-    r = recon.data - images
+    r = AutoEncoderPass(theta_a, images).out - images
     return np.sum(r * r, axis=(1, 2, 3))
 
 

@@ -3,12 +3,12 @@
 ``backward`` can emit a result that is itself part of the graph
 (``create_graph=True``), so every primitive expresses its vector-Jacobian
 product in terms of other primitives; nothing drops to raw numpy on the
-backward path unless gradients are globally off.  The attack no longer
-relies on it: its whole objective (``losses.total_objective``) is one
-``first_order`` node whose vjp is numpy, built on this module's private
-``*_data`` conv and sub-pixel kernels, and which refuses
-``create_graph=True``.  The decoder layer ``upsample2_conv2d`` is a
-``first_order`` node on the same kernels.
+backward path unless gradients are globally off.  The attack and prior
+training build no graph: they call numpy passes (``nn.ClassifierGradient``,
+``nn.AutoEncoderPass``) on this module's private ``*_data`` conv and
+sub-pixel kernels.  The engine is the reference the tests hold those passes
+to; its decoder layer ``upsample2_conv2d`` is a ``first_order`` node on the
+same kernels.
 
 Conventions:
   * arrays are float64,
@@ -800,11 +800,10 @@ def first_order(op: str, value, parents: tuple[Tensor, ...], vjps: tuple) -> Ten
     """A node whose vjps are computed in numpy: ``vjps[i](g)`` maps the
     output cotangent's array to the array of ``parents[i]``.
 
-    It serves a fused function whose derivative is written by hand (the
-    attack objective and its terms, the autoencoder, the sub-pixel decoder
-    layer).  Its cotangents are constants, so differentiating through it
-    again would silently drop every second-order term;
-    ``backward(create_graph=True)`` raises instead.
+    It serves a fused function whose derivative is written by hand, such as
+    the sub-pixel decoder layer.  Its cotangents are constants, so
+    differentiating through it again would silently drop every second-order
+    term; ``backward(create_graph=True)`` raises instead.
     """
     def vjp_node(vjp):
         def run(g):

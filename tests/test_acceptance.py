@@ -26,7 +26,6 @@ from gipip import attack, data, flsim, losses, metrics, nn, prior
 from gipip import cli as gcli
 from gipip import tensor as tt
 from gipip.config import config_from_dict
-from gipip.losses import LossWeights
 
 from conftest import fd_grad, rel_err
 
@@ -364,19 +363,16 @@ def test_a1_gradient_correctness():
     shared = flsim.client_compute_gradient(theta, batch)
     x_probe = rng.uniform(0.2, 0.8, (1, 1, 8, 8))
     dd_errs = {}
-    for matching in ("cosine", "mse"):
-        def f_scalar(xarr, m=matching):
-            total, _ = losses.total_objective(
-                tt.constant(xarr), theta, labels, shared.gradient,
-                LossWeights(lambda_as=0.0, lambda_tv=0.0), matching=m)
-            return total.item()
+    # pure matching: ig without TV is cosine, dlg is mse
+    for matching, config in (("cosine", attack.AttackConfig(method="ig", lambda_as=0.0,
+                                                            lambda_tv=0.0)),
+                             ("mse", attack.AttackConfig(method="dlg", lambda_as=0.0,
+                                                         lambda_tv=0.0))):
+        def objective(xarr, config=config):
+            return losses.total_objective(xarr, theta, labels, shared.gradient, config)
 
-        xv = tt.variable(x_probe)
-        total, _ = losses.total_objective(xv, theta, labels, shared.gradient,
-                                          LossWeights(lambda_as=0.0, lambda_tv=0.0),
-                                          matching=matching)
-        (gx,) = tt.grad(total, [xv])
-        err = rel_err(gx.data, fd_grad(f_scalar, x_probe))
+        gx = objective(x_probe)[1]()
+        err = rel_err(gx, fd_grad(lambda a: objective(a)[0]["total"], x_probe))
         dd_errs[matching] = err
         assert err <= 1e-4, f"double backward ({matching}): rel err {err:.3e} > 1e-4"
 
@@ -389,16 +385,14 @@ def test_a1_gradient_correctness():
     labels = np.array([2])
     shared = flsim.client_compute_gradient(
         conv, flsim.ClientBatch(images=tt.constant(x0), labels=labels))
-    weights = LossWeights(lambda_as=1e-2, lambda_tv=1e-2)
+    config = attack.AttackConfig(method="gipip", lambda_as=1e-2, lambda_tv=1e-2)
 
     def conv_objective(x):
-        return losses.total_objective(x, conv, labels, shared.gradient, weights,
-                                      theta_a=ae)[0]
+        return losses.total_objective(x, conv, labels, shared.gradient, config, theta_a=ae)
 
     x_probe = rng.uniform(0.2, 0.8, (1, 3, 8, 8))
-    xv = tt.variable(x_probe)
-    (gx,) = tt.grad(conv_objective(xv), [xv])
-    err = rel_err(gx.data, fd_grad(lambda a: conv_objective(tt.constant(a)).item(), x_probe))
+    gx = conv_objective(x_probe)[1]()
+    err = rel_err(gx, fd_grad(lambda a: conv_objective(a)[0]["total"], x_probe))
     dd_errs["convnet+as"] = err
     assert err <= 1e-4, f"double backward (convnet+as): rel err {err:.3e} > 1e-4"
 
@@ -410,14 +404,14 @@ def test_a1_gradient_correctness():
         dense, flsim.ClientBatch(images=tt.constant(rng.uniform(0.2, 0.8, (2, 2, 4, 4))),
                                  labels=labels))
 
+    config = attack.AttackConfig(method="ig", lambda_as=0.0, lambda_tv=0.0)
+
     def dense_objective(x):
-        return losses.total_objective(x, dense, labels, shared.gradient,
-                                      LossWeights(lambda_as=0.0, lambda_tv=0.0))[0]
+        return losses.total_objective(x, dense, labels, shared.gradient, config)
 
     x_probe = rng.uniform(0.2, 0.8, (2, 2, 4, 4))
-    xv = tt.variable(x_probe)
-    (gx,) = tt.grad(dense_objective(xv), [xv])
-    err = rel_err(gx.data, fd_grad(lambda a: dense_objective(tt.constant(a)).item(), x_probe))
+    gx = dense_objective(x_probe)[1]()
+    err = rel_err(gx, fd_grad(lambda a: dense_objective(a)[0]["total"], x_probe))
     dd_errs["dense1"] = err
     assert err <= 1e-4, f"double backward (dense1): rel err {err:.3e} > 1e-4"
 
@@ -614,8 +608,7 @@ def test_a8_metric_unit_values():
     img = rng.random((3, 16, 16))
     assert abs(metrics.ssim(img, img) - 1.0) <= 1e-12
 
-    tv = losses.tv_loss(tt.constant(np.array([[[[0.0, 1.0], [2.0, 3.0]]]])))
-    assert tv.item() == 10.0
+    assert losses.tv_loss(np.array([[[[0.0, 1.0], [2.0, 3.0]]]])) == 10.0
 
     g = flsim.GradientVector(("w",), (tt.constant(rng.standard_normal((4, 3))),))
     neg = flsim.GradientVector(("w",), (tt.constant(-g.tensors[0].data),))

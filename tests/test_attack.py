@@ -167,6 +167,8 @@ def test_attack_config_validation():
     with pytest.raises(ConfigurationError):
         attack.AttackConfig(record_every=0)
     with pytest.raises(ConfigurationError):
+        attack.AttackConfig(lambda_as=-1e-4)
+    with pytest.raises(ConfigurationError):
         attack.AttackConfig(lambda_tv=-1.0)
     with pytest.raises(ConfigurationError, match="ig"):
         attack.AttackConfig(method="ig", lambda_as=1e-4)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gipip.cli import (RESULT_COLUMNS, cmd_ablate_as, cmd_attack, cmd_evaluate,
-                       cmd_train_prior, derive_seed, main, _fmt)
+                       cmd_train_prior, derive_seed, main, _fmt, _write_csv)
 from gipip.config import config_from_dict, load_config
 from gipip.data import load_image
 from gipip.errors import ConfigurationError
@@ -235,6 +235,16 @@ def test_fmt_round_trips_floats_and_spells_inf():
     assert _fmt(float("-inf")) == "-inf"
     assert _fmt(7) == "7"
     assert _fmt("dlg") == "dlg"
+
+
+def test_write_csv_prints_numpy_floats_as_numbers(tmp_path):
+    # np.float64 is a float subclass whose repr under numpy 2 is np.float64(0.5)
+    path = tmp_path / "t.csv"
+    _write_csv(path, ("iteration", "loss"), [(0, np.float64(0.5)), (1, np.float64(1 / 3))])
+    assert path.read_text() == f"iteration,loss\n0,0.5\n1,{1 / 3!r}\n"
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert float(rows[1][1]) == 0.5
 
 
 # ---------------------------------------------------------------------------

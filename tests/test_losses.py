@@ -5,15 +5,33 @@ import pytest
 
 from gipip import losses, nn
 from gipip import tensor as tt
-from gipip.errors import ArgumentError, ConfigurationError, DimensionError
+from gipip.attack import AttackConfig
+from gipip.errors import ArgumentError, DimensionError
 from gipip.tensor import GradientVector
 
-from conftest import check_grads, grad_of
+from conftest import check_grads, fd_grad, grad_of, rel_err
 
 
 def gv(*arrays):
     ts = tuple(a if isinstance(a, tt.Tensor) else tt.constant(a) for a in arrays)
     return GradientVector(tuple(f"g{i}" for i in range(len(ts))), ts)
+
+
+def _config(lambda_as=0.0, lambda_tv=0.0, matching="cosine"):
+    # the attack config whose weights and matching kind the objective takes
+    method = "dlg" if matching == "mse" else "gipip" if lambda_as else "ig"
+    return AttackConfig(method=method, lambda_as=lambda_as, lambda_tv=lambda_tv)
+
+
+def _assert_fd(got, value, x, tol, h=1e-5):
+    # an x-gradient against central finite differences of its scalar function
+    err = rel_err(got, fd_grad(value, np.array(x, dtype=np.float64), h=h))
+    assert err <= tol, f"rel err {err:.3e} > {tol:g}"
+
+
+def _term_grad(term, x, g=1.0):
+    # a term's x-cotangent, its parts added, for a cotangent g of its value
+    return losses._fold(term(x)[1](g))
 
 
 # ---------------------------------------------------------------- matching
@@ -116,39 +134,38 @@ def test_matching_segmented_equals_flat():
 # ---------------------------------------------------------------- tv
 
 def test_tv_constant_image_is_zero():
-    x = tt.constant(np.full((2, 3, 5, 5), 0.7))
-    assert losses.tv_loss(x).item() == 0.0
+    assert losses.tv_loss(np.full((2, 3, 5, 5), 0.7)) == 0.0
 
 
 def test_tv_channelwise_constant_is_zero():
     img = np.stack([np.full((4, 4), c) for c in (0.1, 0.5, 0.9)])[None]
-    assert losses.tv_loss(tt.constant(img)).item() == 0.0
+    assert losses.tv_loss(img) == 0.0
 
 
 def test_tv_hand_value_2x2():
-    x = tt.constant([[[[0.0, 1.0], [2.0, 3.0]]]])
+    x = np.array([[[[0.0, 1.0], [2.0, 3.0]]]])
     # rows: (1-0)^2 + (3-2)^2 = 2; columns: (2-0)^2 + (3-1)^2 = 8
-    assert losses.tv_loss(x).item() == 10.0
+    assert losses.tv_loss(x) == 10.0
 
 
 def test_tv_single_pixel_is_zero():
-    assert losses.tv_loss(tt.constant(np.ones((1, 3, 1, 1)))).item() == 0.0
+    assert losses.tv_loss(np.ones((1, 3, 1, 1))) == 0.0
 
 
 def test_tv_positive_for_nonconstant():
     rng = np.random.default_rng(5)
-    x = tt.constant(rng.random((1, 1, 4, 4)))
-    assert losses.tv_loss(x).item() > 0.0
+    assert losses.tv_loss(rng.random((1, 1, 4, 4))) > 0.0
 
 
 def test_tv_requires_nchw():
     with pytest.raises(DimensionError):
-        losses.tv_loss(tt.constant(np.zeros((4, 4))))
+        losses.tv_loss(np.zeros((4, 4)))
 
 
 def test_tv_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
-    check_grads(losses.tv_loss, [rng.random((2, 2, 3, 4))], tol=1e-6)
+    x = rng.random((2, 2, 3, 4))
+    _assert_fd(_term_grad(losses._tv_term, x), losses.tv_loss, x, tol=1e-6)
 
 
 # ---------------------------------------------------------------- anomaly score
@@ -165,7 +182,7 @@ def _zero_output_ae():
 def test_as_loss_zero_output_ae_gives_input_norm():
     rng = np.random.default_rng(8)
     x = rng.random((2, 3, 8, 8))
-    got = losses.as_loss(tt.constant(x), _zero_output_ae()).item()
+    got = losses.as_loss(x, _zero_output_ae())
     assert got == float(np.sum(x * x))
 
 
@@ -174,25 +191,24 @@ def test_as_loss_fixed_point_is_zero():
     # constant one-half image is a true fixed point of the autoencoder
     params = nn.init_autoencoder(seed=0, widths=(2, 2),
                                  scheme=nn.InitScheme(kind="normal", sigma=0.0))
-    x = tt.constant(np.full((1, 3, 8, 8), 0.5))
-    assert losses.as_loss(x, params).item() == 0.0
+    assert losses.as_loss(np.full((1, 3, 8, 8), 0.5), params) == 0.0
 
 
 def test_as_loss_batch_is_sum_of_per_image_scores(tiny_prior):
     params, _ = tiny_prior
     rng = np.random.default_rng(9)
     batch = rng.random((3, 3, 32, 32))
-    whole = losses.as_loss(tt.constant(batch), params).item()
-    parts = sum(losses.as_loss(tt.constant(batch[i:i + 1]), params).item()
-                for i in range(3))
+    whole = losses.as_loss(batch, params)
+    parts = sum(losses.as_loss(batch[i:i + 1], params) for i in range(3))
     assert abs(whole - parts) <= 1e-9 * max(1.0, abs(whole))
 
 
 def test_as_loss_gradient_matches_finite_differences():
     params = nn.init_autoencoder(in_channels=2, seed=11, widths=(2, 3))
     rng = np.random.default_rng(12)
-    check_grads(lambda x: losses.as_loss(x, params),
-                [rng.random((1, 2, 4, 4))], tol=1e-5)
+    x = rng.random((1, 2, 4, 4))
+    _assert_fd(_term_grad(lambda a: losses._as_term(a, params), x),
+               lambda a: losses.as_loss(a, params), x, tol=1e-5)
 
 
 # ---------------------------------------------------------------- total objective
@@ -203,35 +219,32 @@ def _setup_objective():
     rng = np.random.default_rng(14)
     truth = rng.random((2, 3, 8, 8))
     labels = np.array([1, 3])
-    target = losses.classifier_gradient(theta_g, tt.constant(truth), labels)
+    target = losses.classifier_gradient(theta_g, truth, labels)
     return theta_g, truth, labels, target
 
 
 def test_total_objective_zero_weights_is_pure_matching():
     theta_g, truth, labels, target = _setup_objective()
-    x = tt.variable(np.random.default_rng(15).random(truth.shape))
-    total, parts = losses.total_objective(
-        x, theta_g, labels, target, losses.LossWeights(0.0, 0.0))
+    x = np.random.default_rng(15).random(truth.shape)
+    parts, _ = losses.total_objective(x, theta_g, labels, target, _config())
     alone = losses.gradient_matching(
         losses.classifier_gradient(theta_g, x, labels), target).item()
-    assert total.item() == alone
+    assert parts["total"] == parts["grad"] == alone
     assert parts["as"] == 0.0 and parts["tv"] == 0.0
 
 
 def test_total_objective_zero_at_truth():
     theta_g, truth, labels, target = _setup_objective()
-    total, parts = losses.total_objective(
-        tt.variable(truth), theta_g, labels, target, losses.LossWeights(0.0, 0.0))
+    parts, _ = losses.total_objective(truth, theta_g, labels, target, _config())
     assert abs(parts["grad"]) <= 1e-10
 
 
 def test_total_objective_breakdown_recombines_exactly():
     theta_g, truth, labels, target = _setup_objective()
     ae = nn.init_autoencoder(seed=16, widths=(2, 2))
-    w = losses.LossWeights(lambda_as=1e-3, lambda_tv=1e-2)
-    x = tt.variable(np.random.default_rng(17).random(truth.shape))
-    total, parts = losses.total_objective(x, theta_g, labels, target, w, theta_a=ae)
-    assert parts["total"] == total.item()
+    w = _config(lambda_as=1e-3, lambda_tv=1e-2)
+    x = np.random.default_rng(17).random(truth.shape)
+    parts, _ = losses.total_objective(x, theta_g, labels, target, w, theta_a=ae)
     assert parts["total"] == parts["grad"] + w.lambda_as * parts["as"] \
         + w.lambda_tv * parts["tv"]
     assert parts["as"] > 0.0 and parts["tv"] > 0.0
@@ -240,20 +253,19 @@ def test_total_objective_breakdown_recombines_exactly():
 def test_total_objective_needs_prior_when_weighted():
     theta_g, truth, labels, target = _setup_objective()
     with pytest.raises(ArgumentError):
-        losses.total_objective(tt.variable(truth), theta_g, labels, target,
-                               losses.LossWeights(lambda_as=1e-4, lambda_tv=0.0))
+        losses.total_objective(truth, theta_g, labels, target, _config(lambda_as=1e-4))
 
 
 def test_total_objective_differentiable_at_random_points():
     theta_g, truth, labels, target = _setup_objective()
     ae = nn.init_autoencoder(seed=18, widths=(2, 2))
-    w = losses.LossWeights(lambda_as=1e-3, lambda_tv=1e-2)
+    w = _config(lambda_as=1e-3, lambda_tv=1e-2)
 
-    def build(x):
-        total, _ = losses.total_objective(x, theta_g, labels, target, w, theta_a=ae)
-        return total
+    def objective(x):
+        return losses.total_objective(x, theta_g, labels, target, w, theta_a=ae)
 
-    check_grads(build, [np.random.default_rng(19).random((2, 3, 8, 8))], tol=1e-5)
+    x = np.random.default_rng(19).random((2, 3, 8, 8))
+    _assert_fd(objective(x)[1](), lambda a: objective(a)[0]["total"], x, tol=1e-5)
 
 
 # ---------------------------------------------------------------- fused matching node
@@ -274,8 +286,7 @@ def _matching_case(arch, batch, seed):
                                  hidden=7, channels=(3, 4, 4))
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 5, batch)
-    target = losses.classifier_gradient(theta_g, tt.constant(rng.random((batch, 3, 8, 8))),
-                                        labels)
+    target = losses.classifier_gradient(theta_g, rng.random((batch, 3, 8, 8)), labels)
     return theta_g, labels, target, rng.random((batch, 3, 8, 8))
 
 
@@ -289,22 +300,20 @@ def _rel(got, want):
 def test_matching_node_agrees_with_engine_double_backward(arch, kind, batch):
     theta_g, labels, target, x = _matching_case(arch, batch, seed=40 + batch)
     want_pred, want_gx = _engine_matching(theta_g, x, labels, target, kind)
-    pred = losses.classifier_gradient(theta_g, tt.constant(x), labels)
+    pred = losses.classifier_gradient(theta_g, x, labels)
     for got, want in zip(pred.tensors, want_pred):
         assert _rel(got.data, want) <= 1e-12
-    xv = tt.variable(x)
-    (gx,) = tt.grad(losses.matching_loss(xv, theta_g, labels, target, kind), [xv])
-    assert _rel(gx.data, want_gx) <= 1e-12
+    _, grad = losses.total_objective(x, theta_g, labels, target, _config(matching=kind))
+    assert _rel(grad(), want_gx) <= 1e-12
 
 
 @pytest.mark.parametrize("arch", nn.CLASSIFIER_ARCHS)
 @pytest.mark.parametrize("kind", losses.MATCHING_KINDS)
 def test_matching_node_value_is_gradient_matching_exactly(arch, kind):
     theta_g, labels, target, x = _matching_case(arch, 3, seed=50)
-    node = losses.matching_loss(tt.variable(x), theta_g, labels, target, kind)
-    pred = losses.classifier_gradient(theta_g, tt.constant(x), labels)
-    assert node.item() == losses.gradient_matching(pred, target, kind).item()
-    assert node.parents and len(node.parents) == 1
+    parts, _ = losses.total_objective(x, theta_g, labels, target, _config(matching=kind))
+    pred = losses.classifier_gradient(theta_g, x, labels)
+    assert parts["grad"] == losses.gradient_matching(pred, target, kind).item()
 
 
 def test_objective_only_calls_never_run_the_sweep(monkeypatch):
@@ -314,66 +323,27 @@ def test_objective_only_calls_never_run_the_sweep(monkeypatch):
         raise AssertionError("the reverse sweep ran for an objective-only call")
 
     monkeypatch.setattr(nn.ClassifierGradient, "input_vjp", sweep)
-    w = losses.LossWeights(lambda_as=0.0, lambda_tv=1e-2)
-    for x in (tt.constant(truth), tt.variable(truth)):
-        total, parts = losses.total_objective(x, theta_g, labels, target, w)
-        assert parts["total"] == total.item()
-    for kind in losses.MATCHING_KINDS:
-        losses.matching_loss(tt.variable(truth), theta_g, labels, target, kind)
-    xv = tt.variable(truth)
-    total, _ = losses.total_objective(xv, theta_g, labels, target, w)
-    with pytest.raises(AssertionError, match="sweep ran"):
-        tt.grad(total, [xv])
-
-
-def test_matching_node_refuses_create_graph():
-    theta_g, truth, labels, target = _setup_objective()
-    xv = tt.variable(np.random.default_rng(20).random(truth.shape))
-    for kind in losses.MATCHING_KINDS:
-        total, _ = losses.total_objective(xv, theta_g, labels, target,
-                                          losses.LossWeights(0.0, 1e-2), matching=kind)
-        with pytest.raises(ArgumentError, match="first-order"):
-            tt.grad(total, [xv], create_graph=True)
-
-
-def test_as_loss_refuses_create_graph():
-    # the AS term, the autoencoder and the whole objective are first-order
-    # nodes with numpy vjps: a second derivative through any of them raises
-    # instead of returning a detached gradient
-    ae = nn.init_autoencoder(seed=6, widths=(2, 3))
-    xv = tt.variable(np.random.default_rng(21).random((1, 3, 8, 8)))
-    with pytest.raises(ArgumentError, match="as_loss.*first-order"):
-        tt.grad(losses.as_loss(xv, ae), [xv], create_graph=True)
-    with pytest.raises(ArgumentError, match="first-order"):
-        tt.grad(losses.as_loss(tt.constant(xv.data), ae), ae.tensors, create_graph=True)
-    with pytest.raises(ArgumentError, match="autoencoder.*first-order"):
-        tt.grad(nn.forward_autoencoder(ae, xv).sum(), [xv], create_graph=True)
-    theta_g, truth, labels, target = _setup_objective()
-    xo = tt.variable(np.random.default_rng(22).random(truth.shape))
-    total, _ = losses.total_objective(xo, theta_g, labels, target,
-                                      losses.LossWeights(1e-3, 1e-2), theta_a=ae)
-    with pytest.raises(ArgumentError, match="objective.*first-order"):
-        tt.grad(total, [xo], create_graph=True)
-    (g,) = tt.grad(losses.as_loss(xv, ae), [xv])
-    assert not g.requires_grad and np.any(g.data != 0.0)
+    for w in (_config(lambda_tv=1e-2), _config(matching="mse")):
+        parts, grad = losses.total_objective(truth, theta_g, labels, target, w)
+        assert np.isfinite(parts["total"])
+        with pytest.raises(AssertionError, match="sweep ran"):
+            grad()
 
 
 def test_matching_node_guards():
     theta_g, truth, labels, target = _setup_objective()
-    x = tt.variable(truth)
-    with pytest.raises(ArgumentError):
-        losses.matching_loss(x, theta_g, labels, target, "manhattan")
+    cosine, mse = _config(), _config(matching="mse")
     zero = GradientVector(target.names, tuple(tt.constant(np.zeros(t.shape))
                                               for t in target.tensors))
     with pytest.raises(ArgumentError, match="zero-norm target"):
-        losses.matching_loss(x, theta_g, labels, zero, "cosine")
-    assert losses.matching_loss(x, theta_g, labels, zero, "mse").item() > 0.0
+        losses.total_objective(truth, theta_g, labels, zero, cosine)
+    assert losses.total_objective(truth, theta_g, labels, zero, mse)[0]["grad"] > 0.0
     short = GradientVector(target.names[:-1], target.tensors[:-1])
     with pytest.raises(ArgumentError):
-        losses.matching_loss(x, theta_g, labels, short, "mse")
+        losses.total_objective(truth, theta_g, labels, short, mse)
     wrong = GradientVector(target.names, target.tensors[:-1] + (tt.constant([0.0]),))
     with pytest.raises(DimensionError):
-        losses.matching_loss(x, theta_g, labels, wrong, "mse")
+        losses.total_objective(truth, theta_g, labels, wrong, mse)
 
 
 # ---------------------------------------------------------------- the objective as one node
@@ -400,12 +370,15 @@ def _graph_tv_loss(x):
     return tt.add(tt.dot(dx, dx), tt.dot(dy, dy))
 
 
-def _graph_total_objective(x, theta_g, labels, target, weights, theta_a, matching):
-    total = losses.matching_loss(x, theta_g, labels, target, kind=matching)
-    if weights.lambda_as > 0:
-        total = tt.add(total, tt.mul(_graph_as_loss(x, theta_a), weights.lambda_as))
-    if weights.lambda_tv > 0:
-        total = tt.add(total, tt.mul(_graph_tv_loss(x), weights.lambda_tv))
+def _graph_total_objective(x, theta_g, labels, target, config, theta_a):
+    # the matching term as one node with parent x; the tests above hold its
+    # vjp to the engine's double backward
+    value, x_cots = losses._matching_term(x.data, theta_g, labels, target, config.matching)
+    total = tt.first_order("matching", value, (x,), (lambda g: x_cots(g)[0],))
+    if config.lambda_as > 0:
+        total = tt.add(total, tt.mul(_graph_as_loss(x, theta_a), config.lambda_as))
+    if config.lambda_tv > 0:
+        total = tt.add(total, tt.mul(_graph_tv_loss(x), config.lambda_tv))
     return total
 
 
@@ -414,9 +387,9 @@ def _same_bits(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-_METHOD_WEIGHTS = {"gipip": (losses.LossWeights(1e-4, 1e-2), "cosine"),
-                   "ig": (losses.LossWeights(0.0, 1e-2), "cosine"),
-                   "dlg": (losses.LossWeights(0.0, 0.0), "mse")}
+_METHOD_CONFIGS = {"gipip": _config(1e-4, 1e-2),
+                   "ig": _config(0.0, 1e-2),
+                   "dlg": _config(matching="mse")}
 
 
 @pytest.fixture(scope="module")
@@ -426,42 +399,40 @@ def attack_models():
             nn.init_autoencoder(seed=62))
 
 
-@pytest.mark.parametrize("method", sorted(_METHOD_WEIGHTS))
+@pytest.mark.parametrize("method", sorted(_METHOD_CONFIGS))
 @pytest.mark.parametrize("batch", (1, 4, 8))
 def test_total_objective_is_bit_exact_against_the_engine_graph(attack_models, method, batch):
     theta_g, ae = attack_models
-    weights, kind = _METHOD_WEIGHTS[method]
+    config = _METHOD_CONFIGS[method]
     rng = np.random.default_rng(63 + batch)
     labels = rng.integers(0, 10, batch)
-    target = losses.classifier_gradient(theta_g, tt.constant(rng.random((batch, 3, 32, 32))),
-                                        labels)
+    target = losses.classifier_gradient(theta_g, rng.random((batch, 3, 32, 32)), labels)
     # clipped like an attack iterate: runs of exact 0s and 1s give zero
     # differences and saturated pixels, where the sign of a zero can differ
     x = np.clip(rng.normal(0.5, 0.6, (batch, 3, 32, 32)), 0.0, 1.0)
-    xv = tt.variable(x)
-    total, parts = losses.total_objective(xv, theta_g, labels, target, weights,
-                                          theta_a=ae, matching=kind)
-    (gx,) = tt.grad(total, [xv])
+    parts, grad = losses.total_objective(x, theta_g, labels, target, config, theta_a=ae)
     xr = tt.variable(x)
-    ref = _graph_total_objective(xr, theta_g, labels, target, weights, ae, kind)
+    ref = _graph_total_objective(xr, theta_g, labels, target, config, ae)
     (want,) = tt.grad(ref, [xr])
-    assert total.item() == ref.item() == parts["total"]
+    assert parts["total"] == ref.item()
     # the breakdown goes into the trace CSVs, which print Python floats
     assert all(type(v) is float for v in parts.values())
-    assert _same_bits(gx.data, want.data)
-    assert len(total.parents) == 1 and total.parents[0] is xv
+    assert _same_bits(grad(), want.data)
 
 
 @pytest.mark.parametrize("batch", (1, 16))
 def test_prior_training_gradients_are_bit_exact_against_the_engine_graph(batch):
-    # one prior-training batch: the mean anomaly score's parameter gradients
+    # one prior-training batch: the mean anomaly score's parameter gradients,
+    # the pass's parameter sweep on the cotangent train_autoencoder forms
     ae = nn.init_autoencoder(seed=64)
-    xb = tt.constant(np.random.default_rng(65 + batch).random((batch, 3, 32, 32)))
-    loss = tt.mul(losses.as_loss(xb, ae), 1.0 / batch)
-    ref = tt.mul(_graph_as_loss(xb, ae), 1.0 / batch)
-    assert loss.item() == ref.item()
-    for got, want in zip(tt.grad(loss, ae.tensors), tt.grad(ref, ae.tensors)):
-        assert _same_bits(got.data, want.data)
+    x = np.random.default_rng(65 + batch).random((batch, 3, 32, 32))
+    ae_pass = nn.AutoEncoderPass(ae, x)
+    gr = (ae_pass.out - x) * (1.0 / batch)
+    graph_sum = _graph_as_loss(tt.constant(x), ae)
+    assert losses.as_loss(x, ae) == graph_sum.item()
+    ref = tt.mul(graph_sum, 1.0 / batch)
+    for got, want in zip(ae_pass.param_grads(gr + gr), tt.grad(ref, ae.tensors)):
+        assert _same_bits(got, want.data)
 
 
 def test_autoencoder_node_is_bit_exact_against_the_engine_graph():
@@ -469,25 +440,28 @@ def test_autoencoder_node_is_bit_exact_against_the_engine_graph():
     rng = np.random.default_rng(67)
     x = rng.random((3, 3, 32, 32))
     mix = tt.constant(rng.standard_normal((3, 3, 32, 32)))
-    xv, xr = tt.variable(x), tt.variable(x)
-    y = nn.forward_autoencoder(ae, xv)
+    xr = tt.variable(x)
+    ae_pass = nn.AutoEncoderPass(ae, x)
     want_y = _graph_autoencoder(ae, xr)
-    assert _same_bits(y.data, want_y.data)
-    got = tt.grad(tt.dot(y, mix), (xv,) + ae.tensors)
+    assert _same_bits(ae_pass.out, want_y.data)
+    assert _same_bits(nn.forward_autoencoder(ae, x), want_y.data)
+    got = [ae_pass.input_vjp(mix.data)] + ae_pass.param_grads(mix.data)
     want = tt.grad(tt.dot(want_y, mix), (xr,) + ae.tensors)
     for g, w in zip(got, want):
-        assert _same_bits(g.data, w.data)
+        assert _same_bits(g, w.data)
 
 
 def test_tv_and_as_nodes_are_bit_exact_against_the_engine_graph():
     ae = nn.init_autoencoder(seed=68, widths=(4, 6))
     x = np.clip(np.random.default_rng(69).normal(0.5, 0.6, (2, 3, 8, 12)), 0.0, 1.0)
-    for node, graph in ((losses.tv_loss, _graph_tv_loss),
-                        (lambda v: losses.as_loss(v, ae), lambda v: _graph_as_loss(v, ae))):
-        xv, xr = tt.variable(x), tt.variable(x)
-        got, want = node(xv), graph(xr)
-        assert got.item() == want.item()
-        assert _same_bits(tt.grad(got, [xv])[0].data, tt.grad(want, [xr])[0].data)
+    for loss, term, graph in ((losses.tv_loss, losses._tv_term, _graph_tv_loss),
+                              (lambda v: losses.as_loss(v, ae),
+                               lambda v: losses._as_term(v, ae),
+                               lambda v: _graph_as_loss(v, ae))):
+        xr = tt.variable(x)
+        want = graph(xr)
+        assert loss(x) == term(x)[0] == want.item()
+        assert _same_bits(_term_grad(term, x), tt.grad(want, [xr])[0].data)
 
 
 @pytest.mark.parametrize("scale", (1.0, -1.0))
@@ -496,17 +470,8 @@ def test_tv_node_keeps_the_engine_graphs_signed_zeros(scale):
     # the four parts' zero margins decide the sign of a zero in the sum
     x = np.random.default_rng(70).choice([-0.0, 0.0, 0.5, 1.0], size=(4, 3, 8, 9),
                                          p=[0.45, 0.45, 0.05, 0.05])
-    xv, xr = tt.variable(x), tt.variable(x)
-    got = tt.grad(tt.mul(losses.tv_loss(xv), scale), [xv])[0]
+    xr = tt.variable(x)
+    got = _term_grad(losses._tv_term, x, scale)
     want = tt.grad(tt.mul(_graph_tv_loss(xr), scale), [xr])[0]
     assert np.signbit(want.data).any() and (want.data == 0.0).any()
-    assert _same_bits(got.data, want.data)
-
-
-def test_loss_weights_validation():
-    with pytest.raises(ConfigurationError):
-        losses.LossWeights(lambda_as=-1e-4)
-    with pytest.raises(ConfigurationError):
-        losses.LossWeights(lambda_tv=-1.0)
-    w = losses.LossWeights()
-    assert w.lambda_as == 1e-4 and w.lambda_tv == 1e-2
+    assert _same_bits(got, want.data)

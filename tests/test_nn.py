@@ -9,7 +9,7 @@ from gipip import nn
 from gipip import tensor as tt
 from gipip.errors import ArgumentError, DimensionError
 
-from conftest import check_grads
+from conftest import check_grads, fd_grad, rel_err
 
 
 # ---------------------------------------------------------------- init
@@ -98,7 +98,7 @@ def test_mlp2_parameter_count_formula():
     d, h, k = 3 * 32 * 32, 64, 10
     params = nn.init_classifier("mlp2", hidden=h, num_classes=k, seed=0)
     want = (d * h + h) + (h * h + h) + (h * k + k)
-    assert params.param_count == want
+    assert sum(a.size for a in params.to_arrays()) == want
 
 
 def test_tensor_lookup_by_name():
@@ -112,7 +112,7 @@ def test_with_values_shape_checked():
     params = nn.init_classifier("dense1", in_shape=(1, 2, 2), num_classes=2, seed=0)
     good = params.to_arrays()
     out = params.with_values(good)
-    assert out.param_count == params.param_count
+    assert [a.shape for a in out.to_arrays()] == [a.shape for a in good]
     bad = [np.zeros((3, 3)), good[1]]
     with pytest.raises(DimensionError):
         params.with_values(bad)
@@ -157,6 +157,9 @@ def test_forward_rejects_wrong_shape():
         nn.forward_classifier(params, tt.constant(np.zeros((3, 8, 8))))
     with pytest.raises(ArgumentError):
         nn.forward_classifier(params, np.zeros((2, 3, 8, 8)))
+    # and the numpy pass takes arrays, not graph tensors
+    with pytest.raises(ArgumentError):
+        nn.ClassifierGradient(params, tt.constant(np.zeros((2, 3, 8, 8))), np.array([0, 1]))
 
 
 def test_forward_is_pure():
@@ -192,10 +195,10 @@ def test_convnet_gradient_matches_finite_differences():
 
 def test_autoencoder_output_shape_and_range():
     params = nn.init_autoencoder(seed=3)
-    x = tt.constant(np.random.default_rng(3).random((1, 3, 32, 32)))
+    x = np.random.default_rng(3).random((1, 3, 32, 32))
     y = nn.forward_autoencoder(params, x)
     assert y.shape == (1, 3, 32, 32)
-    assert np.all(y.data > 0.0) and np.all(y.data < 1.0)
+    assert np.all(y > 0.0) and np.all(y < 1.0)
 
 
 def test_autoencoder_default_widths():
@@ -209,17 +212,23 @@ def test_autoencoder_default_widths():
 def test_autoencoder_rejects_indivisible_extent():
     params = nn.init_autoencoder(seed=0)
     with pytest.raises(DimensionError):
-        nn.forward_autoencoder(params, tt.constant(np.zeros((1, 3, 30, 32))))
+        nn.forward_autoencoder(params, np.zeros((1, 3, 30, 32)))
     with pytest.raises(DimensionError):
-        nn.forward_autoencoder(params, tt.constant(np.zeros((1, 2, 32, 32))))
+        nn.forward_autoencoder(params, np.zeros((1, 2, 32, 32)))
+    with pytest.raises(ArgumentError):
+        nn.forward_autoencoder(params, tt.constant(np.zeros((1, 3, 32, 32))))
 
 
 def test_autoencoder_gradient_matches_finite_differences():
     params = nn.init_autoencoder(in_channels=2, seed=9, widths=(2, 3))
     imgs = np.random.default_rng(11).random((1, 2, 4, 4))
 
-    def build(x):
-        y = nn.forward_autoencoder(params, x)
-        return ((y - x) * (y - x)).sum()
+    def loss(x):
+        r = nn.forward_autoencoder(params, x) - x
+        return float((r * r).sum())
 
-    check_grads(build, [imgs], tol=1e-6)
+    # d/dx |y(x) - x|^2 = J^T 2r - 2r, the pass's input adjoint on 2r
+    ae = nn.AutoEncoderPass(params, imgs)
+    r2 = 2.0 * (ae.out - imgs)
+    err = rel_err(ae.input_vjp(r2) - r2, fd_grad(loss, imgs.copy()))
+    assert err <= 1e-6, f"rel err {err:.3e}"
