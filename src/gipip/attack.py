@@ -24,6 +24,12 @@ from .losses import total_objective
 from .nn import AutoEncoderParams, ClassifierParams
 
 METHODS = ("dlg", "ig", "gipip")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+LBFGS_MEMORY = 10
+LBFGS_C1 = 1e-4
+LBFGS_MAX_BACKTRACKS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +50,10 @@ def adam_init(arrays) -> AdamState:
                      v=tuple(np.zeros_like(a) for a in arrays))
 
 
-def adam_step(state: AdamState, arrays, grads, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update over a list of arrays."""
+def adam_step(state: AdamState, arrays, grads,
+              lr: float) -> tuple[list[np.ndarray], AdamState]:
+    """One bias-corrected Adam update over a list of arrays; returns new
+    arrays and never writes its inputs."""
     arrays, grads = list(arrays), list(grads)
     if len(arrays) != len(state.m) or len(grads) != len(arrays):
         raise ArgumentError("adam_step: arrays, grads and state disagree in length")
@@ -61,11 +67,11 @@ def adam_step(state: AdamState, arrays, grads, lr: float,
             raise DimensionError(f"adam_step: gradient {g.shape} vs array {a.shape}")
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient entering adam step {t}")
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * (g * g)
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        new_arrays.append(a - lr * m_hat / (np.sqrt(v_hat) + eps))
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * (g * g)
+        m_hat = m / (1 - ADAM_BETA1 ** t)
+        v_hat = v / (1 - ADAM_BETA2 ** t)
+        new_arrays.append(a - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         new_m.append(m)
         new_v.append(v)
     return new_arrays, AdamState(step=t, m=tuple(new_m), v=tuple(new_v))
@@ -75,7 +81,6 @@ def adam_step(state: AdamState, arrays, grads, lr: float,
 class LbfgsState:
     """Limited-memory quasi-Newton state (two-loop recursion, Armijo)."""
 
-    memory: int = 10
     s_list: list = field(default_factory=list)
     y_list: list = field(default_factory=list)
     prev_x: np.ndarray | None = None
@@ -100,20 +105,19 @@ def _two_loop(g: np.ndarray, s_list, y_list) -> np.ndarray:
 
 
 def _backtrack(x: np.ndarray, f: float, g: np.ndarray, d: np.ndarray,
-               gd: float, closure, max_backtracks: int, c1: float):
+               gd: float, closure):
     alpha = 1.0
-    for _ in range(max_backtracks + 1):
+    for _ in range(LBFGS_MAX_BACKTRACKS + 1):
         x_try = x + alpha * d
         f_try, g_try = closure(x_try)
-        if np.isfinite(f_try) and f_try <= f + c1 * alpha * gd:
+        if np.isfinite(f_try) and f_try <= f + LBFGS_C1 * alpha * gd:
             return x_try, f_try, np.asarray(g_try, dtype=np.float64).ravel(), True
         alpha *= 0.5
     return x, f, g, False
 
 
 def lbfgs_step(state: LbfgsState, x: np.ndarray, f: float, g: np.ndarray,
-               closure, max_backtracks: int = 20, c1: float = 1e-4
-               ) -> tuple[np.ndarray, float, np.ndarray, LbfgsState, bool]:
+               closure) -> tuple[np.ndarray, float, np.ndarray, LbfgsState, bool]:
     """One L-BFGS step from (x, f, g) using closure(x) -> (f, g).
 
     Returns (x_new, f_new, g_new, state, stalled).  A curvature pair is
@@ -122,7 +126,7 @@ def lbfgs_step(state: LbfgsState, x: np.ndarray, f: float, g: np.ndarray,
     a descent direction, and again if Armijo backtracking fails along the
     two-loop direction (which happens at relu kinks, where the directional
     derivative is one-sided).  The step stalls (x unchanged) only when the
-    line search fails after ``max_backtracks`` halvings along steepest
+    line search fails after ``LBFGS_MAX_BACKTRACKS`` halvings along steepest
     descent too.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -139,7 +143,7 @@ def lbfgs_step(state: LbfgsState, x: np.ndarray, f: float, g: np.ndarray,
         if sy > 1e-10 * float(np.linalg.norm(s) * np.linalg.norm(y)):
             state.s_list.append(s)
             state.y_list.append(y)
-            if len(state.s_list) > state.memory:
+            if len(state.s_list) > LBFGS_MEMORY:
                 state.s_list.pop(0)
                 state.y_list.pop(0)
     state.prev_x, state.prev_g = x.copy(), g.copy()
@@ -152,9 +156,9 @@ def lbfgs_step(state: LbfgsState, x: np.ndarray, f: float, g: np.ndarray,
     steepest = gd >= 0.0
     if steepest:
         d, gd = -g, gg
-    x2, f2, g2, ok = _backtrack(x, f, g, d, gd, closure, max_backtracks, c1)
+    x2, f2, g2, ok = _backtrack(x, f, g, d, gd, closure)
     if not ok and not steepest:
-        x2, f2, g2, ok = _backtrack(x, f, g, -g, gg, closure, max_backtracks, c1)
+        x2, f2, g2, ok = _backtrack(x, f, g, -g, gg, closure)
     return x2, f2, g2, state, not ok
 
 
@@ -363,8 +367,8 @@ def closed_form_dense_leak(shared: SharedGradient,
                             f"got batch_size {shared.batch_size}")
     if model_fingerprint(theta_g) != shared.model_fingerprint:
         raise ContractError("gradient does not belong to this model")
-    gw = shared.gradient.segment("fc_w").data
-    gb = shared.gradient.segment("fc_b").data
+    gw = shared.gradient.segment("fc_w")
+    gb = shared.gradient.segment("fc_b")
     i = int(np.argmax(np.abs(gb)))
     if abs(gb[i]) <= 1e-12:
         raise OracleInapplicableError("every bias gradient entry is below 1e-12; "

@@ -14,30 +14,31 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import tensor as tt
 from .data import Dataset
 from .errors import (ArgumentError, ConfigurationError, DimensionError,
                      PartitionError)
-from .losses import classifier_gradient
+from .kernels import frozen
+from .losses import GradientVector, classifier_gradient
 from .nn import ClassifierParams
-from .tensor import GradientVector, Tensor
 
 PARTITION_MODES = ("named_split", "fraction")
 
 
 @dataclass(frozen=True)
 class ClientBatch:
-    """The private training batch of one client."""
+    """The private training batch of one client; the images are kept as a
+    frozen copy."""
 
-    images: Tensor          # [N, C, H, W], pixels in [0, 1]
+    images: np.ndarray      # [N, C, H, W], pixels in [0, 1]
     labels: np.ndarray      # [N] integer class ids
 
     def __post_init__(self):
-        if not isinstance(self.images, Tensor) or self.images.ndim != 4:
-            raise DimensionError("client batch images must be an NCHW Tensor")
+        if not isinstance(self.images, np.ndarray) or self.images.ndim != 4:
+            raise DimensionError("client batch images must be an NCHW array")
+        object.__setattr__(self, "images", frozen(self.images))
         if self.images.shape[0] < 1:
             raise DimensionError("client batch is empty")
-        if self.images.data.min() < 0.0 or self.images.data.max() > 1.0:
+        if self.images.min() < 0.0 or self.images.max() > 1.0:
             raise ArgumentError("client batch pixels must lie in [0, 1]")
         labels = np.asarray(self.labels)
         if labels.shape != (self.images.shape[0],):
@@ -94,10 +95,10 @@ def model_fingerprint(params) -> str:
         if f.name == "items":
             continue
         h.update(f"{f.name}={getattr(params, f.name)!r};".encode())
-    for name, t in params.items:
+    for name, a in params.items:
         h.update(name.encode())
-        h.update(str(t.shape).encode())
-        h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        h.update(str(a.shape).encode())
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     return h.hexdigest()
 
 
@@ -106,9 +107,9 @@ def client_compute_gradient(theta_g: ClassifierParams, batch: ClientBatch) -> Sh
     labels = np.asarray(batch.labels)
     if labels.size and (labels.min() < 0 or labels.max() >= theta_g.num_classes):
         raise ArgumentError(f"labels must lie in [0, {theta_g.num_classes})")
-    # what is shared are values: C-ordered constant leaves, which pickle
-    # and lay out the same in every process that receives them
-    gv = classifier_gradient(theta_g, batch.images.data, labels)
+    # what is shared are values: frozen C-ordered arrays, which pickle and
+    # lay out the same in every process that receives them
+    gv = classifier_gradient(theta_g, batch.images, labels)
     return SharedGradient(gradient=gv,
                           batch_size=batch.size,
                           labels=labels.copy(),
@@ -201,8 +202,7 @@ def simulate_round(theta_g: ClassifierParams, dataset: Dataset, target_indices,
     shared = []
     for start in range(0, idx.size, batch_size):
         chunk = idx[start:start + batch_size]
-        batch = ClientBatch(images=tt.constant(dataset.images[chunk]),
-                            labels=dataset.labels[chunk])
+        batch = ClientBatch(images=dataset.images[chunk], labels=dataset.labels[chunk])
         shared.append(client_compute_gradient(theta_g, batch))
     truth = SealedGroundTruth(dataset.images[idx], dataset.labels[idx])
     return shared, truth

@@ -17,21 +17,24 @@ anomaly score's is the residual's plus the input adjoint of an
 ``nn.AutoEncoderPass``, and TV's is closed form.  ``total_objective`` returns
 the terms' values and a function that runs the maps for grad_x total, so
 they run only when the gradient is asked for.  ``as_loss`` and ``tv_loss``
-are the values alone.  ``gradient_matching`` is D on two gradient vectors,
-built of graph nodes: with the engine's double backward it is the
+are the values alone.  ``gradient_matching`` is D on two gradient vectors
+built of graph nodes: through the engine's double backward, it is the
 reference the tests hold the matching term to.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import kernels as kn
 from . import tensor as tt
 from .errors import ArgumentError, DimensionError
 from .nn import AutoEncoderParams, AutoEncoderPass, ClassifierGradient, ClassifierParams
-from .tensor import GradientVector, Tensor
+from .tensor import Tensor
 
 if TYPE_CHECKING:
     from .attack import AttackConfig
@@ -39,13 +42,39 @@ if TYPE_CHECKING:
 MATCHING_KINDS = ("cosine", "mse")
 
 
-def _check_pair(names, tensors, target: GradientVector) -> None:
-    # the prediction's segment names and tensors against the target's
-    if not tensors or not target.tensors:
+@dataclass(frozen=True)
+class GradientVector:
+    """An ordered, named collection of gradient arrays (one per parameter)."""
+
+    names: tuple[str, ...]
+    arrays: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        if len(self.names) != len(self.arrays):
+            raise ArgumentError("GradientVector: names and arrays differ in length")
+        if len(set(self.names)) != len(self.names):
+            raise ArgumentError("GradientVector: duplicate segment names")
+
+    def segment(self, name: str) -> np.ndarray:
+        for n, a in zip(self.names, self.arrays):
+            if n == name:
+                return a
+        raise ArgumentError(f"no gradient segment named '{name}'")
+
+    @cached_property
+    def sq_norm(self) -> float:
+        """Squared norm, the per-segment sums added in segment order, computed
+        once."""
+        return kn.dot(self.arrays, self.arrays)
+
+
+def _check_pair(names, arrays, target: GradientVector) -> None:
+    # the prediction's segment names and arrays against the target's
+    if not arrays or not target.arrays:
         raise ArgumentError("gradient vectors must be non-empty")
     if names != target.names:
         raise ArgumentError(f"gradient segments differ: {names} vs {target.names}")
-    for n, p, t in zip(names, tensors, target.tensors):
+    for n, p, t in zip(names, arrays, target.arrays):
         if p.shape != t.shape:
             raise DimensionError(f"segment '{n}': shapes {p.shape} vs {t.shape}")
 
@@ -66,17 +95,17 @@ def gradient_matching(pred: GradientVector, target: GradientVector,
     so a degenerate iterate stalls instead of going NaN.  A zero-norm
     target is a caller bug and raises.
     """
-    _check_pair(pred.names, pred.tensors, target)
+    _check_pair(pred.names, pred.arrays, target)
     if kind == "mse":
-        d = tuple(tt.sub(p, t) for p, t in zip(pred.tensors, target.tensors))
+        d = tuple(tt.sub(p, t) for p, t in zip(pred.arrays, target.arrays))
         return tt.dot(d, d)
     if kind == "cosine":
         n_tgt = target.sq_norm
         if n_tgt == 0.0:
             raise ArgumentError("cosine matching against a zero-norm target")
-        dot = tt.dot(pred.tensors, target.tensors)
-        n_pred = tt.dot(pred.tensors, pred.tensors)
-        if float(n_pred.data) == 0.0:
+        dot = tt.dot(pred.arrays, target.arrays)
+        n_pred = tt.dot(pred.arrays, pred.arrays)
+        if n_pred.item() == 0.0:
             return tt.constant(1.0)
         return tt.sub(1.0, tt.div(dot, tt.sqrt(tt.mul(n_pred, n_tgt))))
     raise ArgumentError(f"unknown matching kind '{kind}', expected one of {MATCHING_KINDS}")
@@ -117,7 +146,7 @@ def _tv_term(xd: np.ndarray):
         acc[:, :, :, :1] += 0.0
         return [acc]
 
-    return tt._dot_data([dx], [dx]) + tt._dot_data([dy], [dy]), x_cots
+    return kn.dot([dx], [dx]) + kn.dot([dy], [dy]), x_cots
 
 
 def tv_loss(x: np.ndarray) -> float:
@@ -158,10 +187,10 @@ def as_loss(x: np.ndarray, theta_a: AutoEncoderParams) -> float:
 
 
 def classifier_gradient(theta_g: ClassifierParams, x: np.ndarray, labels) -> GradientVector:
-    """Gradient of the batch-mean cross-entropy wrt every model parameter,
-    as constants (``nn.ClassifierGradient``)."""
+    """Gradient of the batch-mean cross-entropy wrt every model parameter
+    (``nn.ClassifierGradient``), as frozen arrays."""
     pred = ClassifierGradient(theta_g, x, labels)
-    return GradientVector(theta_g.names, tuple(tt.constant(a) for a in pred.arrays))
+    return GradientVector(theta_g.names, tuple(map(kn.frozen, pred.arrays)))
 
 
 def _matching_term(x: np.ndarray, theta_g: ClassifierParams, labels,
@@ -173,8 +202,8 @@ def _matching_term(x: np.ndarray, theta_g: ClassifierParams, labels,
     grad_x <g'(x), v>.  The guards are gradient_matching's: a zero-norm
     target raises, and a zero-norm prediction under cosine gives the value
     1 with x_cots None, a constant."""
-    _check_pair(theta_g.names, theta_g.tensors, target)
-    tgt = [t.data for t in target.tensors]
+    _check_pair(theta_g.names, theta_g.arrays, target)
+    tgt = target.arrays
     if kind == "cosine":
         n_tgt = target.sq_norm
         if n_tgt == 0.0:
@@ -182,9 +211,9 @@ def _matching_term(x: np.ndarray, theta_g: ClassifierParams, labels,
     pred = ClassifierGradient(theta_g, x, labels)
     if kind == "mse":
         d = [p - t for p, t in zip(pred.arrays, tgt)]
-        return tt._dot_data(d, d), lambda g: [g * pred.input_vjp([2.0 * e for e in d])]
-    dot = tt._dot_data(pred.arrays, tgt)
-    n_pred = tt._dot_data(pred.arrays, pred.arrays)
+        return kn.dot(d, d), lambda g: [g * pred.input_vjp([2.0 * e for e in d])]
+    dot = kn.dot(pred.arrays, tgt)
+    n_pred = kn.dot(pred.arrays, pred.arrays)
     if n_pred == 0.0:
         return 1.0, None
     norm = np.sqrt(n_pred * n_tgt)

@@ -1,9 +1,9 @@
 """Model zoo: three small classifiers and the convolutional autoencoder.
 
-Parameters live in frozen dataclasses as ordered (name, Tensor) pairs; the
+Parameters live in frozen dataclasses as ordered (name, array) pairs; the
 order is canonical per architecture and everything downstream (gradient
-vectors, serialization, fingerprints) relies on it.  All tensors are leaf
-variables so any forward pass can be differentiated with respect to them.
+vectors, serialization, fingerprints) relies on it.  Every array is
+``kernels.frozen``: read-only, C-ordered float64.
 
 Classifier architectures:
   dense1   flatten -> fc                                  [w, b]
@@ -17,10 +17,11 @@ Autoencoder (input spatial dims must be divisible by 4):
 The attack and prior training run on numpy passes over these models, never
 on a graph.  ``ClassifierGradient`` gives the classifier's parameter
 gradient and its x-adjoint; ``AutoEncoderPass`` gives the reconstruction
-and its two adjoints, each decoder layer being ``tensor.upsample2_conv2d``'s
-kernels, four sub-pixel k2 convs of the low-resolution input, so the
-upsampled tensor is never built.  ``forward_classifier`` composes engine
-nodes: it is the reference the tests hold ``ClassifierGradient`` to.
+and its two adjoints, each decoder layer being ``kernels.upsample2_conv2d``,
+four sub-pixel k2 convs of the low-resolution input, so the upsampled
+tensor is never built.  ``forward_classifier`` composes engine nodes, on
+parameters a test may make engine variables: it is the reference the tests
+hold ``ClassifierGradient`` to.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import kernels as kn
 from . import tensor as tt
 from .errors import ArgumentError, DimensionError
 from .tensor import Tensor
@@ -72,17 +74,14 @@ class _ParamOps:
         return tuple(n for n, _ in self.items)
 
     @property
-    def tensors(self) -> tuple[Tensor, ...]:
-        return tuple(t for _, t in self.items)
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return tuple(a for _, a in self.items)
 
-    def tensor(self, name: str) -> Tensor:
-        for n, t in self.items:
+    def array(self, name: str) -> np.ndarray:
+        for n, a in self.items:
             if n == name:
-                return t
+                return a
         raise ArgumentError(f"no parameter named '{name}'")
-
-    def to_arrays(self) -> list[np.ndarray]:
-        return [t.data.copy() for _, t in self.items]
 
     def with_values(self, arrays):
         """Same structure, new values (used by optimizers and loaders)."""
@@ -95,7 +94,7 @@ class _ParamOps:
             if arr.shape != old.shape:
                 raise DimensionError(f"parameter '{name}': shape {arr.shape} "
                                      f"does not match {old.shape}")
-            new_items.append((name, tt.variable(arr)))
+            new_items.append((name, kn.frozen(arr)))
         return replace(self, items=tuple(new_items))
 
 
@@ -104,25 +103,20 @@ class ClassifierParams(_ParamOps):
     arch: str
     in_shape: tuple[int, int, int]
     num_classes: int
-    items: tuple[tuple[str, Tensor], ...]
+    items: tuple[tuple[str, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
 class AutoEncoderParams(_ParamOps):
     in_channels: int
     widths: tuple[int, int]
-    items: tuple[tuple[str, Tensor], ...]
+    items: tuple[tuple[str, np.ndarray], ...]
 
     @cached_property
     def phase_kernels(self) -> tuple[np.ndarray, np.ndarray]:
         """The decoder layers' [4*O, 4*C] sub-pixel kernels, computed once:
         every attack step of a run uses the same parameters."""
-        return tuple(tt._phase_kernels(self.tensor(f"{name}_w").data)
-                     for name in ("dec1", "dec2"))
-
-
-def _conv_out(h: int, k: int, s: int, p: int) -> int:
-    return (h + 2 * p - k) // s + 1
+        return tuple(kn.phase_kernels(self.array(f"{name}_w")) for name in ("dec1", "dec2"))
 
 
 def init_classifier(arch: str,
@@ -144,11 +138,11 @@ def init_classifier(arch: str,
         raise ArgumentError(f"bad model geometry: in_shape={in_shape}, classes={num_classes}")
     rng = np.random.default_rng(scheme.seed if seed is None else seed)
     d = c * h * w
-    items: list[tuple[str, Tensor]] = []
+    items: list[tuple[str, np.ndarray]] = []
 
     def fc(name, n_out, n_in):
-        items.append((f"{name}_w", tt.variable(_draw(rng, scheme, n_in, (n_out, n_in)))))
-        items.append((f"{name}_b", tt.variable(np.zeros(n_out))))
+        items.append((f"{name}_w", kn.frozen(_draw(rng, scheme, n_in, (n_out, n_in)))))
+        items.append((f"{name}_b", kn.frozen(np.zeros(n_out))))
 
     if arch == "dense1":
         fc("fc", num_classes, d)
@@ -162,9 +156,9 @@ def init_classifier(arch: str,
         for i, c_out in enumerate(channels, start=1):
             fan = c_in * 9
             items.append((f"conv{i}_w",
-                          tt.variable(_draw(rng, scheme, fan, (c_out, c_in, 3, 3)))))
-            items.append((f"conv{i}_b", tt.variable(np.zeros(c_out))))
-            hh, ww = _conv_out(hh, 3, 2, 1), _conv_out(ww, 3, 2, 1)
+                          kn.frozen(_draw(rng, scheme, fan, (c_out, c_in, 3, 3)))))
+            items.append((f"conv{i}_b", kn.frozen(np.zeros(c_out))))
+            hh, ww = kn.conv_out_hw(hh, ww, 3, 2, 1)
             if hh < 1 or ww < 1:
                 raise DimensionError(f"input {in_shape} too small for convnet stage {i}")
             c_in = c_out
@@ -185,12 +179,12 @@ def _check_images(images: np.ndarray, in_shape) -> None:
         raise DimensionError("empty batch")
 
 
-def _affine_layers(params: ClassifierParams) -> list[tuple[Tensor, Tensor]]:
+def _affine_layers(params: ClassifierParams) -> list[tuple[np.ndarray, np.ndarray]]:
     # every classifier is a chain of affine layers in canonical parameter
     # order, [w, b] per layer: a 4-d w is a conv k3 s2 p1, a 2-d one an fc
     # on the flattened input; a relu follows each layer but the last
-    t = params.tensors
-    return list(zip(t[0::2], t[1::2]))
+    a = params.arrays
+    return list(zip(a[0::2], a[1::2]))
 
 
 def forward_classifier(params: ClassifierParams, images: Tensor) -> Tensor:
@@ -229,20 +223,20 @@ class ClassifierGradient:
     def __init__(self, params: ClassifierParams, x: np.ndarray, labels):
         _check_images(x, params.in_shape)
         n = x.shape[0]
-        self.layers = [(w.data, b.data) for w, b in _affine_layers(params)]
+        self.layers = _affine_layers(params)
         self.shapes, self.ins, self.masks = [], [], []
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
             self.shapes.append(x.shape)
             if w.ndim == 4:
-                self.ins.append(tt._im2col_data(x, 3, 2, 1))
+                self.ins.append(kn.im2col(x, 3, 2, 1))
             else:
                 self.ins.append(x.reshape(n, -1))
             x = self._affine(i, w, b)
             if i < last:
                 self.masks.append(x > 0)
                 x = np.maximum(x, 0.0)
-        onehot = tt._onehot(labels, n, x.shape[1])
+        onehot = kn.onehot(labels, n, x.shape[1])
         e = np.exp(x - x.max(axis=1, keepdims=True))
         self.probs = e / e.sum(axis=1, keepdims=True)
         delta = (self.probs - onehot) / n
@@ -263,8 +257,8 @@ class ClassifierGradient:
         # to the layer's own input
         shape = self.shapes[i]
         if w.ndim == 4:
-            cols = self.ins[i] if x is None else tt._im2col_data(x, 3, 2, 1)
-            return tt._conv2d_data(cols, w, (shape[0],) + shape[2:], 2, 1, b)
+            cols = self.ins[i] if x is None else kn.im2col(x, 3, 2, 1)
+            return kn.conv2d(cols, w, (shape[0],) + shape[2:], 2, 1, b)
         rows = self.ins[i] if x is None else x.reshape(shape[0], -1)
         out = rows @ w.T
         if b is not None:
@@ -275,13 +269,13 @@ class ClassifierGradient:
         # transpose of layer i's map with weights w, onto its input's shape
         shape = self.shapes[i]
         if w.ndim == 4:
-            return tt._conv2d_dx_data(g, w, shape[2:], 2, 1)
+            return kn.conv2d_dx(g, w, shape[2:], 2, 1)
         return (g @ w).reshape(shape)
 
     def _param_adjoint(self, i: int, g: np.ndarray) -> list[np.ndarray]:
         w = self.layers[i][0]
         if w.ndim == 4:
-            return [tt._conv2d_dw_data(self.ins[i], g, w.shape[1], 3), g.sum(axis=(0, 2, 3))]
+            return [kn.conv2d_dw(self.ins[i], g, w.shape[1], 3), g.sum(axis=(0, 2, 3))]
         return [g.T @ self.ins[i], g.sum(axis=0)]
 
     def input_vjp(self, v) -> np.ndarray:
@@ -322,11 +316,11 @@ def init_autoencoder(in_channels: int = 3,
     if w1 < 1 or w2 < 1:
         raise ArgumentError(f"widths must be positive, got {widths}")
     rng = np.random.default_rng(scheme.seed if seed is None else seed)
-    items: list[tuple[str, Tensor]] = []
+    items: list[tuple[str, np.ndarray]] = []
 
     def conv(name, c_out, c_in):
-        items.append((f"{name}_w", tt.variable(_draw(rng, scheme, c_in * 9, (c_out, c_in, 3, 3)))))
-        items.append((f"{name}_b", tt.variable(np.zeros(c_out))))
+        items.append((f"{name}_w", kn.frozen(_draw(rng, scheme, c_in * 9, (c_out, c_in, 3, 3)))))
+        items.append((f"{name}_b", kn.frozen(np.zeros(c_out))))
 
     conv("enc1", w1, in_channels)
     conv("enc2", w2, w1)
@@ -359,8 +353,7 @@ class AutoEncoderPass:
     It keeps the input ``x``, the hidden activations ``a1..a3``, their relu
     masks and the reconstruction ``out``, never a patch matrix: each layer
     unfolds its input again in the parameter sweep.  The decoder layers are
-    ``tensor.upsample2_conv2d``'s kernels on the parameters' cached phase
-    kernels.  ``input_vjp(g)`` maps a cotangent of ``out`` to x (the
+    ``kernels.upsample2_conv2d`` on the parameters' cached phase kernels.  ``input_vjp(g)`` maps a cotangent of ``out`` to x (the
     attack's adjoint); ``param_grads(g)`` maps it to every parameter by one
     sweep from the decoder down (prior training's).  The relu masks are
     constants there, as in the engine.
@@ -369,12 +362,12 @@ class AutoEncoderPass:
     def __init__(self, params: AutoEncoderParams, x: np.ndarray):
         _check_autoencoder_input(params, x)
         self.x = x
-        w1, b1, w2, b2, _, b3, _, b4 = (t.data for t in params.tensors)
+        w1, b1, w2, b2, _, b3, _, b4 = params.arrays
         self.kernels = (w1, w2) + params.phase_kernels
         self.a1, self.m1 = _relu(self._encode(x, w1, b1))
         self.a2, self.m2 = _relu(self._encode(self.a1, w2, b2))
-        self.a3, self.m3 = _relu(tt._upsample2_conv2d_data(self.a2, self.kernels[2], b3))
-        z = tt._upsample2_conv2d_data(self.a3, self.kernels[3], b4)
+        self.a3, self.m3 = _relu(kn.upsample2_conv2d(self.a2, self.kernels[2], b3))
+        z = kn.upsample2_conv2d(self.a3, self.kernels[3], b4)
         # sigmoid, exp(-|z|) on either branch so neither overflows
         e = np.exp(-np.abs(z))
         self.out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -383,30 +376,30 @@ class AutoEncoderPass:
     def _encode(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         # conv k3 s2 p1; the patch matrix lives only for this call
         n, _, h, wd = x.shape
-        return tt._conv2d_data(tt._im2col_data(x, 3, 2, 1), w, (n, h, wd), 2, 1, b)
+        return kn.conv2d(kn.im2col(x, 3, 2, 1), w, (n, h, wd), 2, 1, b)
 
     def input_vjp(self, g: np.ndarray) -> np.ndarray:
         """Cotangent of x for a cotangent ``g`` of the reconstruction."""
         w1, w2, k3, k4 = self.kernels
         g = g * (self.out * (1.0 - self.out))
-        g = tt._upsample2_conv2d_dx_data(g, k4) * self.m3
-        g = tt._upsample2_conv2d_dx_data(g, k3) * self.m2
-        g = tt._conv2d_dx_data(g, w2, self.a1.shape[2:], 2, 1) * self.m1
-        return tt._conv2d_dx_data(g, w1, self.x.shape[2:], 2, 1)
+        g = kn.upsample2_conv2d_dx(g, k4) * self.m3
+        g = kn.upsample2_conv2d_dx(g, k3) * self.m2
+        g = kn.conv2d_dx(g, w2, self.a1.shape[2:], 2, 1) * self.m1
+        return kn.conv2d_dx(g, w1, self.x.shape[2:], 2, 1)
 
     def param_grads(self, g: np.ndarray) -> list[np.ndarray]:
         """Cotangents of the parameters, in canonical order, for a cotangent
         ``g`` of the reconstruction."""
         w1, w2, k3, k4 = self.kernels
         g = g * (self.out * (1.0 - self.out))
-        dec2 = [tt._upsample2_conv2d_dw_data(self.a3, g), g.sum(axis=(0, 2, 3))]
-        g = tt._upsample2_conv2d_dx_data(g, k4) * self.m3
-        dec1 = [tt._upsample2_conv2d_dw_data(self.a2, g), g.sum(axis=(0, 2, 3))]
-        g = tt._upsample2_conv2d_dx_data(g, k3) * self.m2
-        enc2 = [tt._conv2d_dw_data(tt._im2col_data(self.a1, 3, 2, 1), g, w2.shape[1], 3),
+        dec2 = [kn.upsample2_conv2d_dw(self.a3, g), g.sum(axis=(0, 2, 3))]
+        g = kn.upsample2_conv2d_dx(g, k4) * self.m3
+        dec1 = [kn.upsample2_conv2d_dw(self.a2, g), g.sum(axis=(0, 2, 3))]
+        g = kn.upsample2_conv2d_dx(g, k3) * self.m2
+        enc2 = [kn.conv2d_dw(kn.im2col(self.a1, 3, 2, 1), g, w2.shape[1], 3),
                 g.sum(axis=(0, 2, 3))]
-        g = tt._conv2d_dx_data(g, w2, self.a1.shape[2:], 2, 1) * self.m1
-        enc1 = [tt._conv2d_dw_data(tt._im2col_data(self.x, 3, 2, 1), g, w1.shape[1], 3),
+        g = kn.conv2d_dx(g, w2, self.a1.shape[2:], 2, 1) * self.m1
+        enc1 = [kn.conv2d_dw(kn.im2col(self.x, 3, 2, 1), g, w1.shape[1], 3),
                 g.sum(axis=(0, 2, 3))]
         return enc1 + enc2 + dec1 + dec2
 

@@ -1,4 +1,4 @@
-"""The anomaly-score prior: train, score, persist.
+"""The anomaly-score prior: train and persist.
 
 The autoencoder is fit on auxiliary images only (never on attack targets)
 by minimizing the summed per-image reconstruction error.  Its score of an
@@ -68,7 +68,7 @@ def train_autoencoder(aux_images: np.ndarray, config: PriorTrainConfig,
                                for s in np.random.SeedSequence(config.seed).spawn(2))
     params = init_autoencoder(c, seed=init_seed, scheme=scheme, widths=widths)
     shuffle_rng = np.random.default_rng(shuffle_seed)
-    state = adam_init(params.to_arrays())
+    state = adam_init(params.arrays)
     trace: list[float] = []
     for _ in range(config.epochs):
         perm = shuffle_rng.permutation(n)
@@ -78,23 +78,12 @@ def train_autoencoder(aux_images: np.ndarray, config: PriorTrainConfig,
             ae = AutoEncoderPass(params, xb)
             r = ae.out - xb
             gr = r * (1.0 / len(xb))  # the per-image mean (stable lr): cotangent 2 r / batch
-            arrays, state = adam_step(state, params.to_arrays(), ae.param_grads(gr + gr),
+            arrays, state = adam_step(state, params.arrays, ae.param_grads(gr + gr),
                                       config.learning_rate)
             params = params.with_values(arrays)
             epoch_sum += float(np.sum(r * r, axis=(1, 2, 3)).sum())
         trace.append(epoch_sum / n)
     return params, trace
-
-
-def anomaly_score(theta_a: AutoEncoderParams, images: np.ndarray) -> np.ndarray:
-    """Per-image anomaly scores; their sum equals as_loss on the batch."""
-    images = np.asarray(images, dtype=np.float64)
-    if images.ndim == 3:
-        images = images[None]
-    if images.ndim != 4:
-        raise DimensionError(f"images must be CHW or NCHW, got {images.shape}")
-    r = AutoEncoderPass(theta_a, images).out - images
-    return np.sum(r * r, axis=(1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +104,8 @@ def save_model(path, params) -> None:
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", len(params.items)))
-        for name, t in params.items:
-            _write_tensor(fh, name, t.data)
+        for name, a in params.items:
+            _write_tensor(fh, name, a)
 
 
 class _Reader:

@@ -3,12 +3,12 @@
 ``backward`` can emit a result that is itself part of the graph
 (``create_graph=True``), so every primitive expresses its vector-Jacobian
 product in terms of other primitives; nothing drops to raw numpy on the
-backward path unless gradients are globally off.  The attack and prior
-training build no graph: they call numpy passes (``nn.ClassifierGradient``,
-``nn.AutoEncoderPass``) on this module's private ``*_data`` conv and
-sub-pixel kernels.  The engine is the reference the tests hold those passes
-to; its decoder layer ``upsample2_conv2d`` is a ``first_order`` node on the
-same kernels.
+backward path unless gradients are globally off.  The ops compute on the
+numpy kernels of ``gipip.kernels``, which the attack and prior training
+call directly (through ``nn.ClassifierGradient`` and ``nn.AutoEncoderPass``)
+without building a graph.  The engine is the reference the tests hold
+those passes to; its decoder layer ``upsample2_conv2d`` is a
+``first_order`` node on the same kernels.
 
 Conventions:
   * arrays are float64,
@@ -16,22 +16,18 @@ Conventions:
   * broadcasting is explicit except for rank-0 scalars, which may combine
     with any shape,
   * ``backward`` only accepts a scalar output and returns one cotangent per
-    requested variable, zeros when the variable is unreachable,
-  * leaves pickle by value and unpickle as fresh leaves with new ids;
-    nodes made by an op do not pickle.
+    requested variable, zeros when the variable is unreachable.
 """
 
 from __future__ import annotations
 
 import itertools
-import mmap
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import kernels as kn
 from .errors import ArgumentError, DimensionError
 
 _ids = itertools.count()
@@ -81,14 +77,6 @@ class Tensor:
         t.vjps = vjps
         t.nid = next(_ids)
         return t
-
-    def __reduce__(self):
-        # rebuild through the constructor: backward orders and keys its
-        # sweep by nid, so a restored id could collide with the nodes of
-        # the unpickling process; the constructor draws a fresh one
-        if self.op != "leaf":
-            raise ArgumentError(f"only leaf tensors pickle, not a '{self.op}' node")
-        return Tensor, (self.data, self.requires_grad)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -475,88 +463,10 @@ def dot(a, b) -> Tensor:
     for x, y in zip(a, b):
         if x.shape != y.shape:
             raise DimensionError(f"dot: shapes {x.shape} and {y.shape} do not match")
-    out = _dot_data([x.data for x in a], [y.data for y in b])
+    out = kn.dot([x.data for x in a], [y.data for y in b])
     return _node(np.asarray(out, dtype=np.float64), "dot", a + b, lambda out: (
         tuple(lambda g, y=y: mul(g, y) for y in b) + tuple(lambda g, x=x: mul(g, x) for x in a)
     ))
-
-
-def _dot_data(a, b) -> float:
-    """sum_i <a_i, b_i> over equal-shape array segments, the per-segment sums
-    added in segment order: the value of ``dot`` on those segments."""
-    out = 0.0
-    for x, y in zip(a, b):
-        out += (x * y).sum()
-    return float(out)
-
-
-# Sub-pixel form of nearest x2 upsampling followed by a k3/s1/p1 conv (Shi
-# et al., arXiv 1609.05158).  Along each axis, output phase a (the parity of
-# the output index) of that pair is a k2/p1 conv of the low-resolution
-# input whose tap s sums the k3 taps u with _PHASE_TAPS[a, s, u] = 1.
-_PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]],
-                        [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
-# both axes at once: row (a, b, s, t), column (u, v) of the 3x3 taps
-_PHASE_MIX = np.einsum("asu,btv->abstuv", _PHASE_TAPS, _PHASE_TAPS).reshape(16, 9)
-
-
-def _phase_kernels(w: np.ndarray) -> np.ndarray:
-    """[O, C, 3, 3] kernels -> [4*O, 4*C] phase kernels: row (a, b, o), column
-    (c, s, t), the row order of ``_im2col_data`` with k = 2."""
-    o, c = w.shape[:2]
-    k = (w.reshape(o * c, 9) @ _PHASE_MIX.T).reshape(o, c, 2, 2, 2, 2)
-    return k.transpose(2, 3, 0, 1, 4, 5).reshape(4 * o, 4 * c)
-
-
-def _phases(planes: np.ndarray, out: np.ndarray):
-    """Pairs of views, one per output phase (a, b): the phase product's
-    [2, 2, O, N, H+1, W+1] planes at (i + a, j + b), and the [N, O, 2H, 2W]
-    output at (2i + a, 2j + b), both laid out [O, N, H, W]."""
-    n, o, h2, w2 = out.shape
-    h, w = h2 // 2, w2 // 2
-    out6 = out.reshape(n, o, h, 2, w, 2)
-    return [(planes[a, b, :, :, a:a + h, b:b + w], out6[:, :, :, a, :, b].transpose(1, 0, 2, 3))
-            for a in range(2) for b in range(2)]
-
-
-def _phase_planes(g: np.ndarray) -> np.ndarray:
-    """Cotangent of an upsample2_conv2d output as the phase product's
-    [4*O, N*(H+1)*(W+1)]; the positions no output reads stay zero."""
-    n, o, h2, w2 = g.shape
-    planes = np.zeros((2, 2, o, n, h2 // 2 + 1, w2 // 2 + 1), dtype=g.dtype)
-    for plane, phase in _phases(planes, g):
-        plane[...] = phase
-    return planes.reshape(4 * o, -1)
-
-
-def _upsample2_conv2d_data(x: np.ndarray, kmat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """upsample2_conv2d on arrays, from the [4*O, 4*C] phase kernels ``kmat``."""
-    n, _, h, w = x.shape
-    o = b.shape[0]
-    prod = kmat @ _im2col_data(x, 2, 1, 1)                  # [4o, n*(h+1)*(w+1)]
-    prod.reshape(4, o, -1)[...] += b[:, None]
-    out = np.empty((n, o, 2 * h, 2 * w), dtype=prod.dtype)
-    for plane, phase in _phases(prod.reshape(2, 2, o, n, h + 1, w + 1), out):
-        phase[...] = plane
-    return out
-
-
-def _upsample2_conv2d_dx_data(g: np.ndarray, kmat: np.ndarray) -> np.ndarray:
-    """Input adjoint of upsample2_conv2d on arrays: the transposed phase conv."""
-    n, o, h2, w2 = g.shape
-    h, w = h2 // 2, w2 // 2
-    planes = _phase_planes(g).reshape(4 * o, n, h + 1, w + 1).transpose(1, 0, 2, 3)
-    return _conv2d_dx_data(planes, kmat.reshape(4 * o, -1, 2, 2), (h, w), 1, 1)
-
-
-def _upsample2_conv2d_dw_data(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Kernel adjoint of upsample2_conv2d on arrays: the phase-kernel gradient
-    mapped back onto the 3x3 taps.  It unfolds x itself: holding the
-    forward's patch matrix costs a prior-training batch more memory than the
-    unfold costs time."""
-    o, c = g.shape[1], x.shape[1]
-    dk = (_phase_planes(g) @ _im2col_data(x, 2, 1, 1).T).reshape(2, 2, o, c, 2, 2)
-    return (dk.transpose(2, 3, 0, 1, 4, 5).reshape(o * c, 16) @ _PHASE_MIX).reshape(o, c, 3, 3)
 
 
 def upsample2_conv2d(x, w, b) -> Tensor:
@@ -577,81 +487,11 @@ def upsample2_conv2d(x, w, b) -> Tensor:
     if w.shape != (o, c, 3, 3) or b.shape != (o,):
         raise DimensionError(f"upsample2_conv2d: input {x.shape} against kernels "
                              f"{w.shape} (want [O, {c}, 3, 3]), bias {b.shape}")
-    kmat = _phase_kernels(w.data)
-    return first_order("upsample2_conv2d", _upsample2_conv2d_data(x.data, kmat, b.data),
-                       (x, w, b), (lambda g: _upsample2_conv2d_dx_data(g, kmat),
-                                   lambda g: _upsample2_conv2d_dw_data(x.data, g),
+    kmat = kn.phase_kernels(w.data)
+    return first_order("upsample2_conv2d", kn.upsample2_conv2d(x.data, kmat, b.data),
+                       (x, w, b), (lambda g: kn.upsample2_conv2d_dx(g, kmat),
+                                   lambda g: kn.upsample2_conv2d_dw(x.data, g),
                                    lambda g: g.sum(axis=(0, 2, 3))))
-
-
-def _conv_out_hw(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int, int]:
-    oh = (h + 2 * padding - k) // stride + 1
-    ow = (w + 2 * padding - k) // stride + 1
-    return oh, ow
-
-
-def _im2col_data(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
-    """Unfold NCHW into channel-major patch columns: [C*k*k, N*OH*OW].
-
-    Row (c, ki, kj) holds tap (ki, kj) of channel c at every output pixel, in
-    (n, oh, ow) order.  The padded canvas is laid out [C, N, H, W], so each of
-    the k*k tap copies moves whole contiguous (N, OH, OW) planes per channel.
-    """
-    n, c, h, w = x.shape
-    oh, ow = _conv_out_hw(h, w, k, stride, padding)
-    xc = x.transpose(1, 0, 2, 3)
-    if padding:
-        xp = np.zeros((c, n, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        xp[:, :, padding:padding + h, padding:padding + w] = xc
-    else:
-        xp = xc
-    cols = np.empty((c, k, k, n, oh, ow), dtype=x.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, ki, kj] = xp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
-    return cols.reshape(c * k * k, n * oh * ow)
-
-
-def _col2im_data(cols: np.ndarray, xshape, k: int, stride: int, padding: int) -> np.ndarray:
-    """Fold channel-major patch columns [C*k*k, N*OH*OW] (the layout of
-    ``_im2col_data``) back onto an NCHW canvas, summing overlaps.
-
-    One ``np.bincount`` over the cached ``_fold_index``: it adds each
-    element's contributions in the columns' (ki, kj) order, starting from
-    0.0, which is the order of one strided slice-add per tap over a zeroed
-    canvas, so the result is the same to the last bit.
-    """
-    n, c, h, w = xshape
-    size = n * c * h * w
-    out = np.bincount(_fold_index(n, c, h, w, k, stride, padding),
-                      weights=cols.ravel(), minlength=size + 1)
-    return out[:size].reshape(n, c, h, w)
-
-
-@lru_cache(maxsize=64)
-def _fold_index(n: int, c: int, h: int, w: int, k: int, stride: int,
-                padding: int) -> np.ndarray:
-    """Flat NCHW position of every patch-matrix entry, in the matrix's order;
-    taps that land in the padding go to position N*C*H*W, one past the end.
-    The array is shared by every fold of its geometry: never write to it."""
-    oh, ow = _conv_out_hw(h, w, k, stride, padding)
-    size = n * c * h * w
-    r = np.arange(k)[:, None] + stride * np.arange(oh) - padding       # [k, oh]
-    s = np.arange(k)[:, None] + stride * np.arange(ow) - padding       # [k, ow]
-    inside = ((r >= 0) & (r < h))[:, None, :, None] & ((s >= 0) & (s < w))[None, :, None, :]
-    # [k, k, oh, ow]; a padding tap gets `size`, which no offset brings back in range
-    pos = np.where(inside, r[:, None, :, None] * w + s[None, :, None, :], size)
-    offset = (np.arange(n) * c + np.arange(c)[:, None]) * (h * w)       # [c, n]
-    # the index lives in its own anonymous mapping: kept in the malloc heap,
-    # a long-lived array fragments the space the transient arrays reuse
-    count = c * k * k * n * oh * ow
-    index = np.frombuffer(mmap.mmap(-1, max(count, 1) * np.dtype(np.intp).itemsize),
-                          dtype=np.intp)[:count]
-    np.add(offset[:, None, None, :, None, None], pos[None, :, :, None, :, :],
-           out=index.reshape(c, k, k, n, oh, ow))
-    np.minimum(index, size, out=index)
-    # left writeable: bincount copies a read-only index on every call
-    return index
 
 
 def _check_conv_geometry(h, w, k, stride, padding):
@@ -660,16 +500,6 @@ def _check_conv_geometry(h, w, k, stride, padding):
     if k > h + 2 * padding or k > w + 2 * padding:
         raise DimensionError(f"kernel {k}x{k} larger than padded input "
                              f"{h + 2 * padding}x{w + 2 * padding}")
-
-
-def _channel_major(g: np.ndarray) -> np.ndarray:
-    # NCHW -> [C, N*H*W], the column order of _im2col_data (a view at N = 1)
-    return g.transpose(1, 0, 2, 3).reshape(g.shape[1], -1)
-
-
-def _nchw(cm: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
-    # [C, N*H*W] -> contiguous NCHW (a reshape at N = 1)
-    return np.ascontiguousarray(cm.reshape(-1, n, h, w).transpose(1, 0, 2, 3))
 
 
 def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
@@ -687,15 +517,15 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     if ck != c:
         raise DimensionError(f"conv2d channels: input has {c}, kernels expect {ck}")
     _check_conv_geometry(h, w, kh, stride, padding)
-    cols = _im2col_data(x.data, kh, stride, padding)
+    cols = kn.im2col(x.data, kh, stride, padding)
     parents = (x, kernels)
     if bias is not None:
         bias = _coerce(bias)
         if bias.shape != (o,):
             raise DimensionError(f"conv2d bias must be [{o}], got {bias.shape}")
         parents += (bias,)
-    out = _conv2d_data(cols, kernels.data, (n, h, w), stride, padding,
-                       None if bias is None else bias.data)
+    out = kn.conv2d(cols, kernels.data, (n, h, w), stride, padding,
+                    None if bias is None else bias.data)
     # d/dx is the transposed conv, d/dkernels the g . im2col^T product; that
     # unfolds x again rather than hold the patch matrix for the graph's life
     return _node(out, "conv2d", parents, lambda out: (
@@ -705,46 +535,10 @@ def conv2d(x, kernels, stride: int = 1, padding: int = 0, bias=None) -> Tensor:
     )[:len(parents)])
 
 
-def _conv2d_data(cols: np.ndarray, kernels: np.ndarray, nhw, stride: int, padding: int,
-                 bias: np.ndarray | None = None) -> np.ndarray:
-    """conv2d on arrays, from the patch matrix of an [N, C, *hw] input."""
-    n, h, w = nhw
-    o, _, k, _ = kernels.shape
-    out = kernels.reshape(o, -1) @ cols                               # [o, n*oh*ow]
-    if bias is not None:
-        out += bias[:, None]
-    return _nchw(out, n, *_conv_out_hw(h, w, k, stride, padding))
-
-
-def _conv2d_dx_data(g: np.ndarray, kernels: np.ndarray, hw, stride: int,
-                    padding: int) -> np.ndarray:
-    """Input adjoint of conv2d on arrays: the transposed conv of g onto [N, C, *hw].
-
-    At stride 1 with padding <= k-1 it is a stride-1 correlation of g, padded
-    by k-1-padding, with the kernels flipped in both spatial axes and their
-    channel axes swapped (Dumoulin & Visin, arXiv 1603.07285): an im2col of
-    g's O channels.  Otherwise it is the fold (col2im) of W^T . g, whose
-    C*k*k columns a dilated g would only make larger at stride 2.
-    """
-    o, c, k, _ = kernels.shape
-    n = g.shape[0]
-    if stride == 1 and padding <= k - 1:
-        flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
-        return _nchw(flipped @ _im2col_data(g, k, 1, k - 1 - padding), n, *hw)
-    cols = kernels.reshape(o, c * k * k).T @ _channel_major(g)
-    return _col2im_data(cols, (n, c) + tuple(hw), k, stride, padding)
-
-
-def _conv2d_dw_data(cols: np.ndarray, g: np.ndarray, c: int, k: int) -> np.ndarray:
-    """Kernel adjoint of conv2d on arrays: g . cols^T, shaped [O, C, k, k],
-    where ``cols`` is the patch matrix of the conv's input."""
-    return (_channel_major(g) @ cols.T).reshape(g.shape[1], c, k, k)
-
-
 def _conv2d_dx(g: Tensor, kernels: Tensor, hw, stride: int, padding: int) -> Tensor:
-    """Input adjoint of conv2d as a graph node (see ``_conv2d_dx_data``)."""
+    """Input adjoint of conv2d as a graph node (see ``kernels.conv2d_dx``)."""
     k = kernels.shape[2]
-    out = _conv2d_dx_data(g.data, kernels.data, hw, stride, padding)
+    out = kn.conv2d_dx(g.data, kernels.data, hw, stride, padding)
     return _node(out, "conv2d_dx", (g, kernels), lambda out: (
         lambda h: conv2d(h, kernels, stride, padding),
         lambda h: _conv2d_dw(h, g, k, stride, padding),
@@ -753,8 +547,8 @@ def _conv2d_dx(g: Tensor, kernels: Tensor, hw, stride: int, padding: int) -> Ten
 
 def _conv2d_dw(x: Tensor, g: Tensor, k: int, stride: int, padding: int) -> Tensor:
     """Kernel adjoint of conv2d as a graph node: g . im2col(x)^T."""
-    cols = _im2col_data(x.data, k, stride, padding)
-    out = _conv2d_dw_data(cols, g.data, x.shape[1], k)
+    cols = kn.im2col(x.data, k, stride, padding)
+    out = kn.conv2d_dw(cols, g.data, x.shape[1], k)
     hw = x.shape[2:]
     return _node(out, "conv2d_dw", (x, g), lambda out: (
         lambda h: _conv2d_dx(g, h, hw, stride, padding),
@@ -773,27 +567,12 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     if logits.ndim != 2:
         raise DimensionError(f"softmax_cross_entropy expects [N, K] logits, got {logits.shape}")
     n, k = logits.shape
-    onehot = _onehot(labels, n, k)
+    onehot = kn.onehot(labels, n, k)
     m = logits.data.max(axis=1, keepdims=True)
     shifted = sub(logits, constant(np.broadcast_to(m, (n, k))))
     lse = add(log(sum_to(exp(shifted), (n, 1))), constant(m))      # [n, 1]
     picked = sum_to(mul(logits, constant(onehot)), (n, 1))         # [n, 1]
     return mean(sub(lse, picked))
-
-
-def _onehot(labels, n: int, k: int) -> np.ndarray:
-    """[N, K] one-hot rows of integer labels, checked against the logits' shape."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != n:
-        raise DimensionError(f"labels shape {labels.shape} does not match logits {(n, k)}")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ArgumentError("labels must be integers")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ArgumentError(f"labels must lie in [0, {k}), got range "
-                            f"[{labels.min()}, {labels.max()}]")
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
-    return onehot
 
 
 def first_order(op: str, value, parents: tuple[Tensor, ...], vjps: tuple) -> Tensor:
@@ -903,39 +682,3 @@ def grad(out: Tensor, wrt, create_graph: bool = False) -> list[Tensor]:
     wrt = list(wrt)
     cots = backward(out, wrt, create_graph=create_graph)
     return [cots[v.nid] for v in wrt]
-
-
-# ---------------------------------------------------------------------------
-# gradient vectors
-
-@dataclass(frozen=True)
-class GradientVector:
-    """An ordered, named collection of gradient tensors (one per parameter)."""
-
-    names: tuple[str, ...]
-    tensors: tuple[Tensor, ...]
-
-    def __post_init__(self):
-        if len(self.names) != len(self.tensors):
-            raise ArgumentError("GradientVector: names and tensors differ in length")
-        if len(set(self.names)) != len(self.names):
-            raise ArgumentError("GradientVector: duplicate segment names")
-
-    def segment(self, name: str) -> Tensor:
-        for n, t in zip(self.names, self.tensors):
-            if n == name:
-                return t
-        raise ArgumentError(f"no gradient segment named '{name}'")
-
-    @cached_property
-    def sq_norm(self) -> float:
-        """Squared norm, the per-segment sums added in segment order (the
-        value ``dot(self.tensors, self.tensors)`` has), computed once."""
-        arrays = [t.data for t in self.tensors]
-        return _dot_data(arrays, arrays)
-
-    def flat(self) -> np.ndarray:
-        """Concatenated raw values in canonical segment order."""
-        if not self.tensors:
-            return np.zeros(0)
-        return np.concatenate([t.data.ravel() for t in self.tensors])

@@ -1,6 +1,7 @@
 """Shared test helpers: finite-difference oracles and small cached models."""
 
 import os
+from dataclasses import replace
 
 # one BLAS thread, unless the caller chose otherwise: the matrices here are
 # small, and a second thread per process oversubscribes the cores when the
@@ -45,6 +46,11 @@ def grad_of(build, *arrays):
     tensors = [tt.variable(a) for a in arrays]
     out = build(*tensors)
     return [g.data for g in tt.grad(out, tensors)]
+
+
+def variables(params):
+    """``params`` with every array an engine variable, to differentiate by."""
+    return replace(params, items=tuple((n, tt.variable(a)) for n, a in params.items))
 
 
 def check_grads(build, arrays, tol: float = 1e-6, h: float = 1e-5):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from gipip import attack, flsim, nn
-from gipip import tensor as tt
 from gipip.errors import (ArgumentError, ConfigurationError, ContractError,
                           NumericError, OracleInapplicableError)
-from gipip.tensor import GradientVector
+from gipip.losses import GradientVector
 
 
 # ---------------------------------------------------------------- adam
@@ -81,7 +80,7 @@ def test_lbfgs_converges_on_anisotropic_quadratic():
         if np.linalg.norm(g) <= 1e-8:
             break
     assert np.linalg.norm(g) <= 1e-8
-    assert len(state.s_list) <= state.memory
+    assert len(state.s_list) <= attack.LBFGS_MEMORY
 
 
 def test_lbfgs_never_accepts_an_increase():
@@ -186,7 +185,7 @@ def _scene(arch="dense1", shape=(2, 4, 4), seed=0, n=1):
     rng = np.random.default_rng(seed + 100)
     truth = rng.random((n,) + shape)
     labels = rng.integers(0, 3, n)
-    batch = flsim.ClientBatch(images=tt.constant(truth), labels=labels)
+    batch = flsim.ClientBatch(images=truth, labels=labels)
     shared = flsim.client_compute_gradient(theta, batch)
     return theta, truth, shared
 
@@ -277,8 +276,7 @@ def test_run_attack_method_prior_pairing_rules():
 def test_run_attack_rejects_zero_norm_target():
     theta, _, shared = _scene(seed=10)
     zeros = GradientVector(shared.gradient.names,
-                           tuple(tt.constant(np.zeros_like(t.data))
-                                 for t in shared.gradient.tensors))
+                           tuple(np.zeros_like(a) for a in shared.gradient.arrays))
     fake = flsim.SharedGradient(gradient=zeros, batch_size=1,
                                 labels=shared.labels,
                                 model_fingerprint=shared.model_fingerprint)
@@ -320,8 +318,8 @@ def test_closed_form_leak_is_exact():
 
 def test_closed_form_rows_agree():
     theta, truth, shared = _scene(arch="dense1", shape=(2, 4, 4), seed=14)
-    gw = shared.gradient.segment("fc_w").data
-    gb = shared.gradient.segment("fc_b").data
+    gw = shared.gradient.segment("fc_w")
+    gb = shared.gradient.segment("fc_b")
     xs = [gw[i] / gb[i] for i in range(len(gb)) if abs(gb[i]) > 1e-8]
     assert len(xs) >= 2
     for x in xs[1:]:
@@ -346,8 +344,7 @@ def test_closed_form_applicability_rules():
 def test_closed_form_rejects_vanished_bias_gradient():
     theta, _, shared = _scene(arch="dense1", seed=18)
     zeros = GradientVector(shared.gradient.names,
-                           tuple(tt.constant(np.zeros_like(t.data))
-                                 for t in shared.gradient.tensors))
+                           tuple(np.zeros_like(a) for a in shared.gradient.arrays))
     fake = flsim.SharedGradient(gradient=zeros, batch_size=1,
                                 labels=shared.labels,
                                 model_fingerprint=shared.model_fingerprint)

@@ -6,9 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from gipip import attack, data, losses, nn
+from gipip import attack, data, nn
 from gipip import tensor as tt
 from gipip.errors import ArgumentError, ConfigurationError, DimensionError, FormatError
+
+from conftest import variables
 
 
 def write_idx_images(path, arr_u8):
@@ -194,17 +196,17 @@ def test_synthetic_textures_are_learnable():
     ds = data.synthetic_textures(180, shape=(3, 16, 16), seed=6, class_pool=(2, 9))
     train = np.setdiff1d(np.arange(ds.count), ds.eval_split)
     params = nn.init_classifier("dense1", in_shape=(3, 16, 16), seed=0)
-    arrays = params.to_arrays()
+    arrays = params.arrays
     state = attack.adam_init(arrays)
     rng = np.random.default_rng(0)
     for _ in range(5):
         order = rng.permutation(train)
         for start in range(0, len(order), 16):
             idx = order[start:start + 16]
-            p = params.with_values(arrays)
+            p = variables(params.with_values(arrays))
             ce = tt.softmax_cross_entropy(
                 nn.forward_classifier(p, tt.constant(ds.images[idx])), ds.labels[idx])
-            grads = [g.data for g in tt.grad(ce, p.tensors)]
+            grads = [g.data for g in tt.grad(ce, p.arrays)]
             arrays, state = attack.adam_step(state, arrays, grads, lr=1e-2)
     p = params.with_values(arrays)
     logits = nn.forward_classifier(p, tt.constant(ds.images[ds.eval_split])).data

@@ -16,13 +16,13 @@ def _tiny_model(seed=0, k=4):
 
 
 def _batch(images, labels):
-    return flsim.ClientBatch(images=tt.constant(images), labels=np.asarray(labels))
+    return flsim.ClientBatch(images=images, labels=np.asarray(labels))
 
 
 # ---------------------------------------------------------------- client gradient
 
 def test_scalar_model_hand_gradient():
-    # the engine the client uses, on the smallest possible model: f(x) = wx
+    # the engine on the smallest possible model: f(x) = wx
     # with squared loss, w=1, x=2, y=0 gives dL/dw = 2(wx-y)x = 8
     w = tt.variable(1.0)
     loss = tt.mul(tt.sub(tt.mul(w, 2.0), 0.0), tt.sub(tt.mul(w, 2.0), 0.0))
@@ -37,8 +37,8 @@ def test_duplicated_sample_leaves_mean_gradient_unchanged():
     double = flsim.client_compute_gradient(
         theta, _batch(np.concatenate([img, img]), [2, 2]))
     assert double.batch_size == 2
-    for a, b in zip(single.gradient.tensors, double.gradient.tensors):
-        assert np.allclose(a.data, b.data, rtol=0, atol=1e-15)
+    for a, b in zip(single.gradient.arrays, double.gradient.arrays):
+        assert np.allclose(a, b, rtol=0, atol=1e-15)
 
 
 def test_client_gradient_matches_finite_differences():
@@ -48,17 +48,17 @@ def test_client_gradient_matches_finite_differences():
     labels = np.array([0, 3])
     shared = flsim.client_compute_gradient(theta, _batch(imgs, labels))
 
-    flat = np.concatenate([a.ravel() for a in theta.to_arrays()])
-    splits = np.cumsum([t.size for t in theta.tensors])[:-1]
+    flat = np.concatenate([a.ravel() for a in theta.arrays])
+    splits = np.cumsum([a.size for a in theta.arrays])[:-1]
 
     def batch_loss(vec):
-        p = theta.with_values([v.reshape(t.shape)
-                               for v, t in zip(np.split(vec, splits), theta.tensors)])
+        p = theta.with_values([v.reshape(a.shape)
+                               for v, a in zip(np.split(vec, splits), theta.arrays)])
         logits = nn.forward_classifier(p, tt.constant(imgs))
         return tt.softmax_cross_entropy(logits, labels).item()
 
     want = fd_grad(batch_loss, flat)
-    got = np.concatenate([t.data.ravel() for t in shared.gradient.tensors])
+    got = np.concatenate([a.ravel() for a in shared.gradient.arrays])
     assert rel_err(got, want) <= 1e-6
 
 
@@ -70,15 +70,15 @@ def test_gradient_averaging_linearity():
     g_all = flsim.client_compute_gradient(theta, _batch(imgs, labels))
     g_a = flsim.client_compute_gradient(theta, _batch(imgs[:2], labels[:2]))
     g_b = flsim.client_compute_gradient(theta, _batch(imgs[2:], labels[2:]))
-    for whole, a, b in zip(g_all.gradient.tensors, g_a.gradient.tensors,
-                           g_b.gradient.tensors):
-        mix = (2 * a.data + 4 * b.data) / 6.0
-        assert np.max(np.abs(whole.data - mix)) <= 1e-10
+    for whole, a, b in zip(g_all.gradient.arrays, g_a.gradient.arrays,
+                           g_b.gradient.arrays):
+        mix = (2 * a + 4 * b) / 6.0
+        assert np.max(np.abs(whole - mix)) <= 1e-10
 
 
 def test_client_batch_validation():
     with pytest.raises(DimensionError):
-        flsim.ClientBatch(images=tt.constant(np.zeros((1, 2, 2))), labels=np.array([0]))
+        flsim.ClientBatch(images=np.zeros((1, 2, 2)), labels=np.array([0]))
     with pytest.raises(ArgumentError):
         _batch(np.full((1, 1, 2, 2), 1.5), [0])
     with pytest.raises(DimensionError):
@@ -87,6 +87,11 @@ def test_client_batch_validation():
         _batch(np.zeros((1, 1, 2, 2)), np.array([0.5]))
     with pytest.raises(ArgumentError):
         flsim.client_compute_gradient(_tiny_model(k=3), _batch(np.zeros((1, 1, 2, 2)), [3]))
+    # the batch keeps a frozen copy of its images
+    images = np.zeros((1, 1, 2, 2))
+    batch = _batch(images, [0])
+    images[...] = 1.0
+    assert np.all(batch.images == 0.0) and not batch.images.flags.writeable
 
 
 def test_fingerprint_sensitive_to_values_and_metadata():
@@ -95,7 +100,7 @@ def test_fingerprint_sensitive_to_values_and_metadata():
     assert flsim.model_fingerprint(a) == flsim.model_fingerprint(same)
     other = _tiny_model(seed=6)
     assert flsim.model_fingerprint(a) != flsim.model_fingerprint(other)
-    arrays = a.to_arrays()
+    arrays = list(a.arrays)
     arrays[0] = arrays[0].copy()
     arrays[0][0, 0] += 1e-12
     assert flsim.model_fingerprint(a) != flsim.model_fingerprint(a.with_values(arrays))

@@ -7,13 +7,15 @@ from gipip import losses, nn
 from gipip import tensor as tt
 from gipip.attack import AttackConfig
 from gipip.errors import ArgumentError, DimensionError
-from gipip.tensor import GradientVector
+from gipip.losses import GradientVector
 
-from conftest import check_grads, fd_grad, grad_of, rel_err
+from conftest import check_grads, fd_grad, grad_of, rel_err, variables
 
 
-def gv(*arrays):
-    ts = tuple(a if isinstance(a, tt.Tensor) else tt.constant(a) for a in arrays)
+def gv(*segments):
+    # a gradient vector of arrays, or of engine nodes to differentiate
+    ts = tuple(a if isinstance(a, tt.Tensor) else np.asarray(a, dtype=np.float64)
+               for a in segments)
     return GradientVector(tuple(f"g{i}" for i in range(len(ts))), ts)
 
 
@@ -117,8 +119,8 @@ def test_matching_validates_inputs():
     empty = GradientVector((), ())
     with pytest.raises(ArgumentError):
         losses.gradient_matching(empty, empty, "mse")
-    named = GradientVector(("w",), (tt.constant([1.0]),))
-    other = GradientVector(("v",), (tt.constant([1.0]),))
+    named = GradientVector(("w",), (np.ones(1),))
+    other = GradientVector(("v",), (np.ones(1),))
     with pytest.raises(ArgumentError):
         losses.gradient_matching(named, other, "mse")
 
@@ -174,7 +176,7 @@ def _zero_output_ae():
     """An AE whose sigmoid head saturates to exactly 0 for any input."""
     params = nn.init_autoencoder(seed=0, widths=(2, 2),
                                  scheme=nn.InitScheme(kind="normal", sigma=0.0))
-    arrays = params.to_arrays()
+    arrays = list(params.arrays)
     arrays[params.names.index("dec2_b")] = np.full(3, -800.0)
     return params.with_values(arrays)
 
@@ -273,9 +275,9 @@ def test_total_objective_differentiable_at_random_points():
 def _engine_matching(theta_g, x, labels, target, kind):
     """Reference built from the engine: g' by a create_graph backward of the
     classifier's cross-entropy, then D and its x-gradient through that graph."""
-    xv = tt.variable(x)
-    ce = tt.softmax_cross_entropy(nn.forward_classifier(theta_g, xv), labels)
-    pred = tt.grad(ce, theta_g.tensors, create_graph=True)
+    xv, theta_v = tt.variable(x), variables(theta_g)
+    ce = tt.softmax_cross_entropy(nn.forward_classifier(theta_v, xv), labels)
+    pred = tt.grad(ce, theta_v.arrays, create_graph=True)
     d = losses.gradient_matching(GradientVector(theta_g.names, tuple(pred)), target, kind)
     (gx,) = tt.grad(d, [xv])
     return [p.data for p in pred], gx.data
@@ -301,8 +303,8 @@ def test_matching_node_agrees_with_engine_double_backward(arch, kind, batch):
     theta_g, labels, target, x = _matching_case(arch, batch, seed=40 + batch)
     want_pred, want_gx = _engine_matching(theta_g, x, labels, target, kind)
     pred = losses.classifier_gradient(theta_g, x, labels)
-    for got, want in zip(pred.tensors, want_pred):
-        assert _rel(got.data, want) <= 1e-12
+    for got, want in zip(pred.arrays, want_pred):
+        assert _rel(got, want) <= 1e-12
     _, grad = losses.total_objective(x, theta_g, labels, target, _config(matching=kind))
     assert _rel(grad(), want_gx) <= 1e-12
 
@@ -333,15 +335,14 @@ def test_objective_only_calls_never_run_the_sweep(monkeypatch):
 def test_matching_node_guards():
     theta_g, truth, labels, target = _setup_objective()
     cosine, mse = _config(), _config(matching="mse")
-    zero = GradientVector(target.names, tuple(tt.constant(np.zeros(t.shape))
-                                              for t in target.tensors))
+    zero = GradientVector(target.names, tuple(np.zeros(a.shape) for a in target.arrays))
     with pytest.raises(ArgumentError, match="zero-norm target"):
         losses.total_objective(truth, theta_g, labels, zero, cosine)
     assert losses.total_objective(truth, theta_g, labels, zero, mse)[0]["grad"] > 0.0
-    short = GradientVector(target.names[:-1], target.tensors[:-1])
+    short = GradientVector(target.names[:-1], target.arrays[:-1])
     with pytest.raises(ArgumentError):
         losses.total_objective(truth, theta_g, labels, short, mse)
-    wrong = GradientVector(target.names, target.tensors[:-1] + (tt.constant([0.0]),))
+    wrong = GradientVector(target.names, target.arrays[:-1] + (np.zeros(1),))
     with pytest.raises(DimensionError):
         losses.total_objective(truth, theta_g, labels, wrong, mse)
 
@@ -351,7 +352,7 @@ def test_matching_node_guards():
 def _graph_autoencoder(params, x):
     """The autoencoder composed of engine nodes, the reference for
     ``nn.AutoEncoderPass``: conv, relu, sub-pixel decoder layers, sigmoid."""
-    p = params.tensor
+    p = params.array
     a = tt.relu(tt.conv2d(x, p("enc1_w"), 2, 1, bias=p("enc1_b")))
     a = tt.relu(tt.conv2d(a, p("enc2_w"), 2, 1, bias=p("enc2_b")))
     a = tt.relu(tt.upsample2_conv2d(a, p("dec1_w"), p("dec1_b")))
@@ -428,10 +429,11 @@ def test_prior_training_gradients_are_bit_exact_against_the_engine_graph(batch):
     x = np.random.default_rng(65 + batch).random((batch, 3, 32, 32))
     ae_pass = nn.AutoEncoderPass(ae, x)
     gr = (ae_pass.out - x) * (1.0 / batch)
-    graph_sum = _graph_as_loss(tt.constant(x), ae)
+    ae_v = variables(ae)
+    graph_sum = _graph_as_loss(tt.constant(x), ae_v)
     assert losses.as_loss(x, ae) == graph_sum.item()
     ref = tt.mul(graph_sum, 1.0 / batch)
-    for got, want in zip(ae_pass.param_grads(gr + gr), tt.grad(ref, ae.tensors)):
+    for got, want in zip(ae_pass.param_grads(gr + gr), tt.grad(ref, ae_v.arrays)):
         assert _same_bits(got, want.data)
 
 
@@ -440,13 +442,13 @@ def test_autoencoder_node_is_bit_exact_against_the_engine_graph():
     rng = np.random.default_rng(67)
     x = rng.random((3, 3, 32, 32))
     mix = tt.constant(rng.standard_normal((3, 3, 32, 32)))
-    xr = tt.variable(x)
+    xr, ae_v = tt.variable(x), variables(ae)
     ae_pass = nn.AutoEncoderPass(ae, x)
-    want_y = _graph_autoencoder(ae, xr)
+    want_y = _graph_autoencoder(ae_v, xr)
     assert _same_bits(ae_pass.out, want_y.data)
     assert _same_bits(nn.forward_autoencoder(ae, x), want_y.data)
     got = [ae_pass.input_vjp(mix.data)] + ae_pass.param_grads(mix.data)
-    want = tt.grad(tt.dot(want_y, mix), (xr,) + ae.tensors)
+    want = tt.grad(tt.dot(want_y, mix), (xr,) + ae_v.arrays)
     for g, w in zip(got, want):
         assert _same_bits(g, w.data)
 

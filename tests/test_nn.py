@@ -18,7 +18,7 @@ def test_init_same_seed_bit_identical():
     a = nn.init_classifier("convnet", seed=5)
     b = nn.init_classifier("convnet", seed=5)
     assert a.names == b.names
-    for x, y in zip(a.to_arrays(), b.to_arrays()):
+    for x, y in zip(a.arrays, b.arrays):
         assert x.tobytes() == y.tobytes()
 
 
@@ -26,28 +26,28 @@ def test_init_different_seed_differs():
     a = nn.init_classifier("mlp2", seed=1)
     b = nn.init_classifier("mlp2", seed=2)
     assert any(not np.array_equal(x, y)
-               for x, y in zip(a.to_arrays(), b.to_arrays()))
+               for x, y in zip(a.arrays, b.arrays))
 
 
 def test_init_seed_argument_overrides_scheme_seed():
     scheme = nn.InitScheme(seed=123)
     a = nn.init_classifier("dense1", seed=9, scheme=scheme)
     b = nn.init_classifier("dense1", seed=9)
-    for x, y in zip(a.to_arrays(), b.to_arrays()):
+    for x, y in zip(a.arrays, b.arrays):
         assert np.array_equal(x, y)
 
 
 def test_normal_sigma_zero_gives_all_zero_parameters():
     scheme = nn.InitScheme(kind="normal", sigma=0.0)
     params = nn.init_classifier("mlp2", seed=0, scheme=scheme)
-    for arr in params.to_arrays():
+    for arr in params.arrays:
         assert np.all(arr == 0.0)
 
 
 def test_kaiming_uniform_respects_fan_in_bound():
     d = 3 * 32 * 32
     params = nn.init_classifier("dense1", seed=4)
-    w = params.tensor("fc_w").data
+    w = params.array("fc_w")
     bound = np.sqrt(6.0 / d)
     assert np.all(np.abs(w) <= bound)
     # and actually spreads over the interval rather than collapsing
@@ -56,15 +56,15 @@ def test_kaiming_uniform_respects_fan_in_bound():
 
 def test_biases_start_at_zero():
     params = nn.init_classifier("convnet", seed=8)
-    for name, t in params.items:
+    for name, a in params.items:
         if name.endswith("_b"):
-            assert np.all(t.data == 0.0)
+            assert np.all(a == 0.0)
 
 
 def test_all_parameters_finite():
     for arch in nn.CLASSIFIER_ARCHS:
         params = nn.init_classifier(arch, seed=3)
-        for arr in params.to_arrays():
+        for arr in params.arrays:
             assert np.all(np.isfinite(arr))
 
 
@@ -98,21 +98,25 @@ def test_mlp2_parameter_count_formula():
     d, h, k = 3 * 32 * 32, 64, 10
     params = nn.init_classifier("mlp2", hidden=h, num_classes=k, seed=0)
     want = (d * h + h) + (h * h + h) + (h * k + k)
-    assert sum(a.size for a in params.to_arrays()) == want
+    assert sum(a.size for a in params.arrays) == want
 
 
-def test_tensor_lookup_by_name():
+def test_array_lookup_by_name():
     params = nn.init_classifier("dense1", seed=0)
-    assert params.tensor("fc_w").shape == (10, 3 * 32 * 32)
+    assert params.array("fc_w").shape == (10, 3 * 32 * 32)
     with pytest.raises(ArgumentError):
-        params.tensor("nope")
+        params.array("nope")
 
 
 def test_with_values_shape_checked():
     params = nn.init_classifier("dense1", in_shape=(1, 2, 2), num_classes=2, seed=0)
-    good = params.to_arrays()
-    out = params.with_values(good)
-    assert [a.shape for a in out.to_arrays()] == [a.shape for a in good]
+    good = params.arrays
+    # the values are kept as read-only C-ordered copies, whatever the source
+    src = [np.asfortranarray(np.arange(8.0).reshape(2, 4)), np.ones(2)]
+    out = params.with_values(src)
+    src[0][0, 0] = 5.0
+    assert np.array_equal(out.arrays[0], np.arange(8.0).reshape(2, 4))
+    assert all(a.flags.c_contiguous and not a.flags.writeable for a in out.arrays)
     bad = [np.zeros((3, 3)), good[1]]
     with pytest.raises(DimensionError):
         params.with_values(bad)
@@ -182,7 +186,7 @@ def test_convnet_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     imgs = rng.random((2, 2, 4, 4))
     mix = rng.standard_normal((2, 3))
-    w0 = params.tensor("conv1_w").data
+    w0 = params.array("conv1_w")
 
     def build(x, w):
         logits = nn.forward_classifier(_sub_tensor(params, "conv1_w", w), x)
@@ -204,9 +208,9 @@ def test_autoencoder_output_shape_and_range():
 def test_autoencoder_default_widths():
     params = nn.init_autoencoder(seed=0)
     assert params.widths == (16, 32)
-    assert params.tensor("enc1_w").shape == (16, 3, 3, 3)
-    assert params.tensor("enc2_w").shape == (32, 16, 3, 3)
-    assert params.tensor("dec2_w").shape == (3, 16, 3, 3)
+    assert params.array("enc1_w").shape == (16, 3, 3, 3)
+    assert params.array("enc2_w").shape == (32, 16, 3, 3)
+    assert params.array("dec2_w").shape == (3, 16, 3, 3)
 
 
 def test_autoencoder_rejects_indivisible_extent():

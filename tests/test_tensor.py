@@ -3,18 +3,19 @@ central finite differences, and the double-backward path the attack needs."""
 
 import ast
 import gc
-import inspect
 import pickle
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import check_grads, fd_grad, grad_of, rel_err
-from gipip import attack, flsim, losses, nn, prior
+from gipip import attack, data, flsim, losses, nn, prior
+from gipip import kernels as kn
 from gipip import tensor as tt
 from gipip.errors import ArgumentError, DimensionError
-from gipip.tensor import GradientVector, Tensor
+from gipip.losses import GradientVector
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +295,8 @@ def test_conv_kernels_match_plain_loop_reference(path):
     x, w, _, g = _conv_arrays(np.random.default_rng(zlib.crc32(path.encode())), **geo)
     pairs = (
         (tt.conv2d(x, w, stride, padding).data, _loop_conv(x, w, stride, padding)),
-        (tt._conv2d_dx(tt.constant(g), tt.constant(w), hw, stride, padding).data,
-         _loop_conv_dx(g, w, hw, stride, padding)),
-        (tt._conv2d_dw(tt.constant(x), tt.constant(g), k, stride, padding).data,
+        (kn.conv2d_dx(g, w, hw, stride, padding), _loop_conv_dx(g, w, hw, stride, padding)),
+        (kn.conv2d_dw(kn.im2col(x, k, stride, padding), g, x.shape[1], k),
          _loop_conv_dw(x, g, k, stride, padding)),
     )
     for got, want in pairs:
@@ -305,7 +305,7 @@ def test_conv_kernels_match_plain_loop_reference(path):
     # the fold of the input adjoint's columns adds each element's taps in
     # the slice loop's order, so the two agree to the last bit
     cols = w.reshape(w.shape[0], -1).T @ g.transpose(1, 0, 2, 3).reshape(g.shape[1], -1)
-    got = tt._col2im_data(cols, x.shape, k, stride, padding)
+    got = kn.col2im(cols, x.shape, k, stride, padding)
     want = np.ascontiguousarray(_slice_loop_fold(cols, x.shape, k, stride, padding))
     assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
@@ -501,32 +501,6 @@ def test_tensors_are_frozen():
     assert t.data[0] == 1.0
 
 
-def test_unpickled_leaf_is_a_fresh_frozen_copy():
-    # backward orders and keys its sweep by node id, so a leaf restored in
-    # another process must not keep the id it had where it was pickled
-    src = tt.variable(np.arange(6.0).reshape(2, 3).T)
-    blob = pickle.dumps(src)
-    newest = tt.mul(tt.constant(1.0), tt.constant(2.0))
-    back = pickle.loads(blob)
-    assert back.nid > newest.nid > src.nid
-    assert back.op == "leaf" and back.requires_grad and back.parents == ()
-    assert np.array_equal(back.data, src.data)
-    assert not back.data.flags.writeable
-    assert back.data.flags.c_contiguous
-    (g,) = tt.grad(tt.mul(back, back).sum(), [back])
-    assert np.array_equal(g.data, 2.0 * src.data)
-
-
-def test_nodes_made_by_an_op_do_not_pickle():
-    x = tt.variable([1.0, 2.0])
-    with pytest.raises(ArgumentError, match="leaf"):
-        pickle.dumps(tt.mul(x, x))
-    with tt.no_grad():
-        detached = tt.mul(x, x)
-    with pytest.raises(ArgumentError, match="leaf"):
-        pickle.dumps(detached)
-
-
 def test_item_requires_single_element():
     with pytest.raises(ArgumentError):
         tt.constant([1.0, 2.0]).item()
@@ -546,16 +520,12 @@ def _gipip_step():
     ae = nn.init_autoencoder(seed=5)
     rng = np.random.default_rng(52)
     labels = np.array([2])
-    shared = flsim.client_compute_gradient(
-        theta, flsim.ClientBatch(images=tt.constant(rng.random((1, 3, 32, 32))),
-                                 labels=labels))
+    target = losses.classifier_gradient(theta, rng.random((1, 3, 32, 32)), labels)
     x = rng.random((1, 3, 32, 32))
     config = attack.AttackConfig(method="gipip", lambda_as=1e-4, lambda_tv=1e-2)
 
     def step():
-        _, grad = losses.total_objective(x, theta, labels, shared.gradient, config,
-                                         theta_a=ae)
-        grad()
+        losses.total_objective(x, theta, labels, target, config, theta_a=ae)[1]()
 
     return step
 
@@ -577,37 +547,35 @@ def test_attack_step_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_production_paths_build_no_graph(monkeypatch):
-    # the attack and prior training call their numpy passes directly: with
-    # node recording and backward made to raise, every method and one
-    # prior-training epoch still run, and neither module imports the engine
+def test_production_paths_build_no_graph(monkeypatch, tmp_path):
+    # with every way of making a Tensor or running backward made to raise,
+    # the production paths still run, and no module but the engine and the
+    # two holding its reference functions imports it
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine Tensor was built")
+
+    for owner, name in ((tt.Tensor, "__init__"), (tt.Tensor, "_wrap"), (tt, "_node"),
+                        (tt, "backward")):
+        monkeypatch.setattr(owner, name, refuse)
     theta = nn.init_classifier("convnet", in_shape=(3, 16, 16), num_classes=10, seed=7,
                                channels=(4, 8, 8))
-    rng = np.random.default_rng(54)
-    shared = flsim.client_compute_gradient(
-        theta, flsim.ClientBatch(images=tt.constant(rng.random((2, 3, 16, 16))),
-                                 labels=np.array([1, 4])))
-    aux = rng.random((4, 3, 16, 16))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a graph node was built")
-
-    monkeypatch.setattr(tt, "_node", refuse)
-    monkeypatch.setattr(tt, "backward", refuse)
-    theta_a, _ = prior.train_autoencoder(aux, prior.PriorTrainConfig(epochs=1, batch_size=2))
+    ds = data.synthetic_textures(12, shape=(3, 16, 16), seed=54)
+    (shared,), _ = flsim.simulate_round(theta, ds, [0, 1], 2)
+    cfg = prior.PriorTrainConfig(epochs=1, batch_size=2)
+    prior.save_model(tmp_path / "prior.bin", prior.train_autoencoder(ds.images[:4], cfg)[0])
+    theta_a = prior.load_model(tmp_path / "prior.bin")
     weights = {"gipip": {}, "ig": {"lambda_as": 0.0}, "dlg": {"lambda_as": 0.0, "lambda_tv": 0.0}}
     for method, w in weights.items():
         config = attack.AttackConfig(method=method, iterations=4, record_every=2, **w)
         ae = theta_a if method == "gipip" else None
         assert attack.run_attack(shared, theta, config, theta_a=ae).steps == 4
-    for module in (attack, prior):
-        imported = set()
-        for node in ast.walk(ast.parse(inspect.getsource(module))):
-            if isinstance(node, ast.ImportFrom):
-                imported |= {node.module or ""} | {a.name for a in node.names}
-            elif isinstance(node, ast.Import):
-                imported |= {a.name for a in node.names}
-        assert "tensor" not in {name.split(".")[-1] for name in imported}, module.__name__
+    for path in sorted(Path(nn.__file__).parent.glob("*.py")):
+        if path.name in ("tensor.py", "nn.py", "losses.py"):
+            continue
+        imported = {n for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for n in [getattr(node, "module", None) or ""] + [a.name for a in node.names]}
+        assert "tensor" not in {name.split(".")[-1] for name in imported}, path.name
 
 
 # ---------------------------------------------------------------------------
@@ -616,18 +584,16 @@ def test_production_paths_build_no_graph(monkeypatch):
 def test_gradient_vector_roundtrip_exact():
     # a pickle round trip, as a worker process receives the vector
     rng = np.random.default_rng(51)
-    gv = GradientVector(("a", "b"), (tt.constant(rng.normal(size=(2, 3))),
-                                     tt.constant(rng.normal(size=5))))
-    flat = gv.flat()
-    assert flat.shape == (11,)
+    gv = GradientVector(("a", "b"), (rng.normal(size=(2, 3)), rng.normal(size=5)))
     back = pickle.loads(pickle.dumps(gv))
-    assert back.flat().tobytes() == flat.tobytes()
     assert back.names == gv.names
-    assert np.array_equal(back.segment("a").data, gv.segment("a").data)
+    for got, want in zip(back.arrays, gv.arrays):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert back.sq_norm == gv.sq_norm
 
 
 def test_gradient_vector_validation():
-    t = tt.constant([1.0])
+    t = np.ones(1)
     with pytest.raises(ArgumentError):
         GradientVector(("a",), (t, t))
     with pytest.raises(ArgumentError):
