@@ -208,14 +208,12 @@ class AttackResult:
     """Output of run_attack: the reconstruction plus its optimization story."""
 
     recovered: np.ndarray               # [N, C, H, W]
-    method: str
     iterations: int
     trace: tuple[tuple[int, float, float, float, float], ...]
     # (iteration, grad_loss, as_loss, tv_loss, total) for the best restart
     final_grad_loss: float
     final_as_loss: float
     final_tv_loss: float
-    final_total_loss: float
     best_restart: int
     restart_grad_losses: tuple[float, ...]
     stalled: bool
@@ -338,13 +336,11 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
 
     grad_final, best_r, x_best, trace_best, parts_best, stalled_best, steps_best = best
     return AttackResult(recovered=x_best,
-                        method=config.method,
                         iterations=config.iterations,
                         trace=trace_best,
                         final_grad_loss=float(parts_best["grad"]),
                         final_as_loss=float(parts_best["as"]),
                         final_tv_loss=float(parts_best["tv"]),
-                        final_total_loss=float(parts_best["total"]),
                         best_restart=best_r,
                         restart_grad_losses=tuple(restart_finals),
                         stalled=stalled_best,

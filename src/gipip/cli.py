@@ -195,7 +195,7 @@ def cmd_train_prior(cfg: ExperimentConfig, out_dir=None) -> Path:
     return _write_manifest(out_dir, manifest)
 
 
-def _experiment(cfg: ExperimentConfig, out_dir, jobs: int | None, command: str,
+def _experiment(cfg: ExperimentConfig, out_dir, jobs: int, command: str,
                 weights, seeds) -> Path:
     """Plan, run, score and write the inversions of one round.
 
@@ -206,7 +206,6 @@ def _experiment(cfg: ExperimentConfig, out_dir, jobs: int | None, command: str,
     """
     out_dir = Path(out_dir if out_dir is not None else cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = jobs if jobs is not None else cfg.parallel_runs
     ablate = command == "ablate-as"
     manifest = _manifest_header(cfg, command)
     t0 = time.monotonic()
@@ -292,12 +291,12 @@ def _experiment(cfg: ExperimentConfig, out_dir, jobs: int | None, command: str,
     return path
 
 
-def cmd_attack(cfg: ExperimentConfig, out_dir=None, jobs: int | None = None) -> Path:
+def cmd_attack(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> Path:
     """Full pipeline: data, model, prior, one round, inversion, metrics."""
     return _experiment(cfg, out_dir, jobs, "attack", (cfg.lambda_as,), (cfg.seed,))
 
 
-def cmd_ablate_as(cfg: ExperimentConfig, out_dir=None, jobs: int | None = None,
+def cmd_ablate_as(cfg: ExperimentConfig, out_dir=None, jobs: int = 1,
                   weights=None, seeds=None) -> Path:
     """Sweep lambda_as over attack seeds with everything else held fixed."""
     weights = tuple(cfg.ablate_weights if weights is None else weights)
@@ -362,15 +361,15 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        if args.jobs is not None and args.jobs < 1:
-            raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
-        out_dir = args.output if args.output is not None else None
+        jobs = 1 if args.jobs is None else args.jobs
+        if jobs < 1:
+            raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
         if args.command == "train-prior":
-            cmd_train_prior(cfg, out_dir)
+            cmd_train_prior(cfg, args.output)
         elif args.command == "attack":
-            cmd_attack(cfg, out_dir, jobs=args.jobs)
+            cmd_attack(cfg, args.output, jobs=jobs)
         else:
-            cmd_ablate_as(cfg, out_dir, jobs=args.jobs)
+            cmd_ablate_as(cfg, args.output, jobs=jobs)
         return 0
     except GipipError as exc:
         print(f"error: {exc}", file=sys.stderr)

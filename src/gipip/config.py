@@ -5,29 +5,25 @@ sections or keys are hard errors rather than silent typos.  Two defaults
 are method-dependent: lambda_as falls to 0 for methods without the anomaly
 prior (ig, dlg) and lambda_tv falls to 0 for dlg, unless set explicitly.
 
-Sections and keys:
-
-  [experiment] name, seed, parallel_runs
-  [data]       dataset (synthetic|mnist|cifar10), path, synthetic_count,
-               aux_mode (named_split|fraction), aux_fraction,
-               num_targets, batch_size
-  [model]      arch (dense1|mlp2|convnet), init (kaiming_uniform|normal),
-               init_sigma, hidden
-  [prior]      enabled, epochs, learning_rate, batch_size, model_path
-  [attack]     method (gipip|ig|dlg), learning_rate, iterations,
-               lambda_as, lambda_tv, restarts, clamp, record_every
-  [ablate]     weights, seeds (comma-separated lists)
-  [output]     dir
+Each key is declared once, as a field of ``ExperimentConfig``: the field's
+metadata names its section and its allowed values, its key is its name less
+a ``<section>_`` prefix, and its type picks the parser.  The defaults of the
+[attack] and [prior] keys and of init/init_sigma are those of
+``AttackConfig``, ``PriorTrainConfig`` and ``InitScheme``; each choice list
+is the one its owning module checks against.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .attack import AttackConfig
+from .attack import METHODS, AttackConfig
+from .data import DATASETS
 from .errors import ConfigurationError
+from .flsim import PARTITION_MODES
+from .nn import CLASSIFIER_ARCHS, INIT_KINDS, InitScheme
 from .prior import PriorTrainConfig
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,
@@ -55,146 +51,98 @@ def _parse_float(raw: str, where: str) -> float:
         raise ConfigurationError(f"{where}: expected a number, got '{raw}'")
 
 
-def _parse_float_list(raw: str, where: str) -> tuple[float, ...]:
-    toks = [t.strip() for t in raw.split(",") if t.strip()]
-    if not toks:
-        raise ConfigurationError(f"{where}: expected a comma-separated list of numbers")
-    return tuple(_parse_float(t, where) for t in toks)
+def _list_parser(parse, what: str):
+    def parse_list(raw: str, where: str) -> tuple:
+        toks = [t.strip() for t in raw.split(",") if t.strip()]
+        if not toks:
+            raise ConfigurationError(f"{where}: expected a comma-separated list of {what}")
+        return tuple(parse(t, where) for t in toks)
+    return parse_list
 
 
-def _parse_int_list(raw: str, where: str) -> tuple[int, ...]:
-    toks = [t.strip() for t in raw.split(",") if t.strip()]
-    if not toks:
-        raise ConfigurationError(f"{where}: expected a comma-separated list of integers")
-    return tuple(_parse_int(t, where) for t in toks)
-
-
-# key -> (parser kind, default, allowed choices or None)
-_SCHEMA: dict[str, dict[str, tuple[str, object, tuple | None]]] = {
-    "experiment": {
-        "name": ("str", "run", None),
-        "seed": ("int", 0, None),
-        "parallel_runs": ("int", 1, None),
-    },
-    "data": {
-        "dataset": ("str", "synthetic", ("synthetic", "mnist", "cifar10")),
-        "path": ("str", "", None),
-        "synthetic_count": ("int", 600, None),
-        "aux_mode": ("str", "named_split", ("named_split", "fraction")),
-        "aux_fraction": ("float", 0.1, None),
-        "num_targets": ("int", 4, None),
-        "batch_size": ("int", 1, None),
-    },
-    "model": {
-        "arch": ("str", "convnet", ("dense1", "mlp2", "convnet")),
-        "init": ("str", "kaiming_uniform", ("kaiming_uniform", "normal")),
-        "init_sigma": ("float", 0.05, None),
-        "hidden": ("int", 64, None),
-    },
-    "prior": {
-        "enabled": ("bool", True, None),
-        "epochs": ("int", 30, None),
-        "learning_rate": ("float", 1e-3, None),
-        "batch_size": ("int", 64, None),
-        "model_path": ("str", "", None),
-    },
-    "attack": {
-        "method": ("str", "gipip", ("gipip", "ig", "dlg")),
-        "learning_rate": ("float", 0.1, None),
-        "iterations": ("int", 4000, None),
-        "lambda_as": ("float", 1e-4, None),
-        "lambda_tv": ("float", 1e-2, None),
-        "restarts": ("int", 1, None),
-        "clamp": ("bool", True, None),
-        "record_every": ("int", 50, None),
-    },
-    "ablate": {
-        "weights": ("float_list", (0.0, 1e-5, 1e-4, 1e-3, 1e-2), None),
-        "seeds": ("int_list", (0, 1, 2, 3, 4), None),
-    },
-    "output": {
-        "dir": ("str", "out", None),
-    },
-}
-
+# field type (as annotated) -> parser
 _PARSERS = {"str": lambda raw, where: raw.strip(),
             "int": _parse_int,
             "float": _parse_float,
             "bool": _parse_bool,
-            "float_list": _parse_float_list,
-            "int_list": _parse_int_list}
+            "tuple[float, ...]": _list_parser(_parse_float, "numbers"),
+            "tuple[int, ...]": _list_parser(_parse_int, "integers")}
+
+
+def _key(section: str, default, choices: tuple | None = None):
+    return field(default=default, metadata={"section": section, "choices": choices})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """All settings, resolved (defaults filled in, consistency checked)."""
 
-    name: str
-    seed: int
-    parallel_runs: int
-    dataset: str
-    path: str
-    synthetic_count: int
-    aux_mode: str
-    aux_fraction: float
-    num_targets: int
-    batch_size: int
-    arch: str
-    init: str
-    init_sigma: float
-    hidden: int
-    prior_enabled: bool
-    prior_epochs: int
-    prior_learning_rate: float
-    prior_batch_size: int
-    prior_model_path: str
-    method: str
-    learning_rate: float
-    iterations: int
-    lambda_as: float
-    lambda_tv: float
-    restarts: int
-    clamp: bool
-    record_every: int
-    ablate_weights: tuple[float, ...]
-    ablate_seeds: tuple[int, ...]
-    output_dir: str
+    name: str = _key("experiment", "run")
+    seed: int = _key("experiment", 0)
+    dataset: str = _key("data", DATASETS[0], DATASETS)
+    path: str = _key("data", "")
+    synthetic_count: int = _key("data", 600)
+    aux_mode: str = _key("data", PARTITION_MODES[0], PARTITION_MODES)
+    aux_fraction: float = _key("data", 0.1)
+    num_targets: int = _key("data", 4)
+    batch_size: int = _key("data", 1)
+    arch: str = _key("model", "convnet", CLASSIFIER_ARCHS)
+    init: str = _key("model", InitScheme.kind, INIT_KINDS)
+    init_sigma: float = _key("model", InitScheme.sigma)
+    hidden: int = _key("model", 64)
+    prior_enabled: bool = _key("prior", True)
+    prior_epochs: int = _key("prior", PriorTrainConfig.epochs)
+    prior_learning_rate: float = _key("prior", PriorTrainConfig.learning_rate)
+    prior_batch_size: int = _key("prior", PriorTrainConfig.batch_size)
+    prior_model_path: str = _key("prior", "")
+    method: str = _key("attack", AttackConfig.method, METHODS)
+    learning_rate: float = _key("attack", AttackConfig.learning_rate)
+    iterations: int = _key("attack", AttackConfig.iterations)
+    lambda_as: float = _key("attack", AttackConfig.lambda_as)
+    lambda_tv: float = _key("attack", AttackConfig.lambda_tv)
+    restarts: int = _key("attack", AttackConfig.restarts)
+    clamp: bool = _key("attack", AttackConfig.clamp)
+    record_every: int = _key("attack", AttackConfig.record_every)
+    ablate_weights: tuple[float, ...] = _key("ablate", (0.0, 1e-5, 1e-4, 1e-3, 1e-2))
+    ablate_seeds: tuple[int, ...] = _key("ablate", (0, 1, 2, 3, 4))
+    output_dir: str = _key("output", "out")
 
     def items(self) -> list[tuple[str, object]]:
         """Flat (field, value) pairs in declaration order, for manifests."""
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
+    def _build(self, cls, prefix: str, **given):
+        # cls from the fields named like its own (after prefix), and `given`
+        return cls(**given, **{f.name: getattr(self, prefix + f.name)
+                               for f in fields(cls) if f.name not in given})
+
     def attack_config(self, lambda_as: float, seed: int) -> AttackConfig:
         """The settings of one inversion run at anomaly weight ``lambda_as``."""
-        return AttackConfig(method=self.method, learning_rate=self.learning_rate,
-                            iterations=self.iterations, lambda_as=lambda_as,
-                            lambda_tv=self.lambda_tv, restarts=self.restarts,
-                            clamp=self.clamp, record_every=self.record_every, seed=seed)
+        return self._build(AttackConfig, "", lambda_as=lambda_as, seed=seed)
 
     def prior_config(self, seed: int) -> PriorTrainConfig:
         """The settings of prior training."""
-        return PriorTrainConfig(epochs=self.prior_epochs,
-                                learning_rate=self.prior_learning_rate,
-                                batch_size=self.prior_batch_size, seed=seed)
+        return self._build(PriorTrainConfig, "prior_", seed=seed)
 
 
-# [prior], [ablate] and [output] keys are prefixed with their section
-_FIELD_OF = {(sec, key): f"{sec}_{key}" if sec in ("prior", "ablate", "output") else key
-             for sec, keys in _SCHEMA.items() for key in keys}
+# (section, key) -> field
+_KEYS = {(f.metadata["section"], f.name.removeprefix(f.metadata["section"] + "_")): f
+         for f in fields(ExperimentConfig)}
+_SECTIONS = {sec for sec, _ in _KEYS}
 
 
-def _validate(values: dict[str, object], present: set[tuple[str, str]]) -> ExperimentConfig:
+def _validate(values: dict[str, object]) -> ExperimentConfig:
     # method-dependent defaults for the prior weights
-    method = values["method"]
-    if ("attack", "lambda_as") not in present and method in ("ig", "dlg"):
-        values["lambda_as"] = 0.0
-    if ("attack", "lambda_tv") not in present and method == "dlg":
-        values["lambda_tv"] = 0.0
+    method = values.get("method", AttackConfig.method)
+    if method != "gipip":
+        values.setdefault("lambda_as", 0.0)
+    if method == "dlg":
+        values.setdefault("lambda_tv", 0.0)
     cfg = ExperimentConfig(**values)
 
-    for field in ("parallel_runs", "synthetic_count", "num_targets", "batch_size", "hidden"):
-        if getattr(cfg, field) < 1:
-            raise ConfigurationError(f"{field} must be >= 1, got {getattr(cfg, field)}")
+    for name in ("synthetic_count", "num_targets", "batch_size", "hidden"):
+        if getattr(cfg, name) < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     # the attack and prior-training rules live with the configs they build
     cfg.attack_config(cfg.lambda_as, cfg.seed)
     cfg.prior_config(cfg.seed)
@@ -211,28 +159,26 @@ def _validate(values: dict[str, object], present: set[tuple[str, str]]) -> Exper
     if method == "gipip" and not cfg.prior_enabled:
         raise ConfigurationError("method 'gipip' needs the prior; set [prior] enabled "
                                  "or switch methods")
-    if cfg.dataset in ("mnist", "cifar10") and not cfg.path:
+    if cfg.dataset != "synthetic" and not cfg.path:
         raise ConfigurationError(f"dataset '{cfg.dataset}' needs [data] path")
     return cfg
 
 
 def _from_pairs(pairs: dict[tuple[str, str], str], origin: str) -> ExperimentConfig:
-    values = {field: spec[1] for (sec, key), field in _FIELD_OF.items()
-              for spec in [_SCHEMA[sec][key]]}
-    present = set()
+    values = {}
     for (sec, key), raw in pairs.items():
-        if sec not in _SCHEMA:
+        if sec not in _SECTIONS:
             raise ConfigurationError(f"{origin}: unknown section [{sec}]")
-        if key not in _SCHEMA[sec]:
+        if (sec, key) not in _KEYS:
             raise ConfigurationError(f"{origin}: unknown key '{key}' in [{sec}]")
-        kind, _, choices = _SCHEMA[sec][key]
+        f = _KEYS[(sec, key)]
         where = f"{origin}: [{sec}] {key}"
-        value = _PARSERS[kind](raw, where)
+        value = _PARSERS[f.type](raw, where)
+        choices = f.metadata["choices"]
         if choices is not None and value not in choices:
             raise ConfigurationError(f"{where}: '{value}' is not one of {choices}")
-        values[_FIELD_OF[(sec, key)]] = value
-        present.add((sec, key))
-    return _validate(values, present)
+        values[f.name] = value
+    return _validate(values)
 
 
 def load_config(path) -> ExperimentConfig:

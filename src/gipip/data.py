@@ -20,7 +20,7 @@ from .errors import ArgumentError, ConfigurationError, DimensionError, FormatErr
 
 CIFAR10_CLASSES = ("airplane", "automobile", "bird", "cat", "deer",
                    "dog", "frog", "horse", "ship", "truck")
-CIFAR10_ANIMALS = ("bird", "cat", "deer", "dog", "horse")
+DATASETS = ("synthetic", "mnist", "cifar10")
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801

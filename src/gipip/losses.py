@@ -55,6 +55,12 @@ class GradientVector:
         if len(set(self.names)) != len(self.names):
             raise ArgumentError("GradientVector: duplicate segment names")
 
+    def __setstate__(self, state):
+        # numpy does not keep the writeable flag through pickle
+        for a in state["arrays"]:
+            a.setflags(write=False)
+        self.__dict__.update(state)
+
     def segment(self, name: str) -> np.ndarray:
         for n, a in zip(self.names, self.arrays):
             if n == name:

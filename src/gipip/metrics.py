@@ -1,8 +1,10 @@
 """Reconstruction quality metrics.
 
-All functions take plain numpy arrays with pixel values on a [0, peak]
-scale (peak defaults to 1.0).  PSNR of an exact match is +inf; downstream
-aggregation excludes infinite entries from means and reports their count.
+All functions take plain numpy arrays with pixel values on a [0, PEAK]
+scale, PEAK = 1.  PSNR of an exact match is +inf; downstream aggregation
+excludes infinite entries from means and reports their count.  SSIM's
+Gaussian width and stabilizers are the constants SSIM_SIGMA, SSIM_K1 and
+SSIM_K2.
 """
 
 from __future__ import annotations
@@ -12,6 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ConfigurationError, DimensionError
+
+PEAK = 1.0
+SSIM_SIGMA = 1.5
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -24,20 +31,18 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(d * d))
 
 
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB; +inf for identical inputs."""
-    if peak <= 0:
-        raise ArgumentError(f"peak must be positive, got {peak}")
     err = mse(a, b)
     if err == 0.0:
         return float("inf")
-    return float(10.0 * np.log10(peak * peak / err))
+    return float(10.0 * np.log10(PEAK * PEAK / err))
 
 
-def _gaussian_kernel(window: int, sigma: float) -> np.ndarray:
+def _gaussian_kernel(window: int) -> np.ndarray:
     half = (window - 1) / 2.0
     coords = np.arange(window) - half
-    g = np.exp(-(coords * coords) / (2.0 * sigma * sigma))
+    g = np.exp(-(coords * coords) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
     k = np.outer(g, g)
     return k / k.sum()
 
@@ -49,9 +54,7 @@ def _local_means(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.tensordot(view, kernel, axes=((2, 3), (0, 1)))
 
 
-def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0,
-         window: int = 11, sigma: float = 1.5,
-         k1: float = 0.01, k2: float = 0.03) -> float:
+def ssim(a: np.ndarray, b: np.ndarray, window: int = 11) -> float:
     """Structural similarity, Gaussian-weighted, valid windows only.
 
     Inputs are HW or CHW; channels are scored independently and averaged.
@@ -71,9 +74,9 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0,
     if h < window or w < window:
         raise ConfigurationError(f"image {h}x{w} smaller than ssim window {window}; "
                                  "pass a smaller window explicitly")
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
-    kernel = _gaussian_kernel(window, sigma)
+    c1 = (SSIM_K1 * PEAK) ** 2
+    c2 = (SSIM_K2 * PEAK) ** 2
+    kernel = _gaussian_kernel(window)
     scores = []
     for ca, cb in zip(a, b):
         mu_a = _local_means(ca, kernel)
@@ -153,7 +156,6 @@ class MetricReport:
     """Per-image and aggregate quality of one recovered batch."""
 
     pairing: tuple[int, ...]
-    mse_values: tuple[float, ...]
     psnr_values: tuple[float, ...]
     ssim_values: tuple[float, ...]
     mean_mse: float
@@ -162,34 +164,28 @@ class MetricReport:
     mean_ssim: float
 
 
-def evaluate_batch(recovered: np.ndarray, truth: np.ndarray,
-                   assignment: bool = True, peak: float = 1.0,
-                   ssim_window: int = 11) -> MetricReport:
+def evaluate_batch(recovered: np.ndarray, truth: np.ndarray) -> MetricReport:
     """Score a recovered batch against the ground truth.
 
-    With ``assignment`` the batch is first re-paired to maximize total PSNR
-    (see ``optimal_assignment``), since gradient averaging makes recovered
-    image order arbitrary; without it images are compared position by
-    position.
+    The batch is first re-paired to maximize total PSNR (see
+    ``optimal_assignment``), since gradient averaging makes recovered image
+    order arbitrary.
     """
     recovered, truth = np.asarray(recovered), np.asarray(truth)
     if recovered.shape != truth.shape:
         raise DimensionError(f"evaluate_batch: shapes {recovered.shape} vs {truth.shape}")
     if recovered.ndim != 4:
         raise DimensionError(f"evaluate_batch expects NCHW, got rank {recovered.ndim}")
-    n = recovered.shape[0]
-    pairing = optimal_assignment(recovered, truth) if assignment else tuple(range(n))
+    pairing = optimal_assignment(recovered, truth)
     mses, psnrs, ssims = [], [], []
-    for i in range(n):
-        t = truth[pairing[i]]
-        mses.append(mse(recovered[i], t))
-        psnrs.append(psnr(recovered[i], t, peak=peak))
-        ssims.append(ssim(recovered[i], t, peak=peak, window=ssim_window))
+    for r, j in zip(recovered, pairing):
+        mses.append(mse(r, truth[j]))
+        psnrs.append(psnr(r, truth[j]))
+        ssims.append(ssim(r, truth[j]))
     finite = [p for p in psnrs if np.isfinite(p)]
     inf_count = len(psnrs) - len(finite)
     mean_psnr = float(np.mean(finite)) if finite else float("inf")
     return MetricReport(pairing=pairing,
-                        mse_values=tuple(mses),
                         psnr_values=tuple(psnrs),
                         ssim_values=tuple(ssims),
                         mean_mse=float(np.mean(mses)),

@@ -37,6 +37,7 @@ from .errors import ArgumentError, DimensionError
 from .tensor import Tensor
 
 CLASSIFIER_ARCHS = ("dense1", "mlp2", "convnet")
+INIT_KINDS = ("kaiming_uniform", "normal")
 
 
 @dataclass(frozen=True)
@@ -44,16 +45,14 @@ class InitScheme:
     """How to draw initial weights.
 
     kind 'kaiming_uniform' draws U(+-sqrt(6/fan_in)); 'normal' draws
-    N(0, sigma^2).  Biases start at zero either way.  The seed here is the
-    default; init functions may override it per call.
+    N(0, sigma^2).  Biases start at zero either way.
     """
 
-    kind: str = "kaiming_uniform"
+    kind: str = INIT_KINDS[0]
     sigma: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("kaiming_uniform", "normal"):
+        if self.kind not in INIT_KINDS:
             raise ArgumentError(f"unknown init kind '{self.kind}'")
         if self.sigma < 0:
             raise ArgumentError("init sigma must be >= 0")
@@ -97,6 +96,12 @@ class _ParamOps:
             new_items.append((name, kn.frozen(arr)))
         return replace(self, items=tuple(new_items))
 
+    def __setstate__(self, state):
+        # numpy does not keep the writeable flag through pickle
+        for _, a in state["items"]:
+            a.setflags(write=False)
+        self.__dict__.update(state)
+
 
 @dataclass(frozen=True)
 class ClassifierParams(_ParamOps):
@@ -122,7 +127,7 @@ class AutoEncoderParams(_ParamOps):
 def init_classifier(arch: str,
                     in_shape: tuple[int, int, int] = (3, 32, 32),
                     num_classes: int = 10,
-                    seed: int | None = None,
+                    seed: int = 0,
                     scheme: InitScheme = InitScheme(),
                     hidden: int = 64,
                     channels: tuple[int, int, int] = (8, 16, 32)) -> ClassifierParams:
@@ -136,7 +141,7 @@ def init_classifier(arch: str,
     c, h, w = (int(v) for v in in_shape)
     if c < 1 or h < 1 or w < 1 or num_classes < 2:
         raise ArgumentError(f"bad model geometry: in_shape={in_shape}, classes={num_classes}")
-    rng = np.random.default_rng(scheme.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     d = c * h * w
     items: list[tuple[str, np.ndarray]] = []
 
@@ -306,7 +311,7 @@ class ClassifierGradient:
 
 
 def init_autoencoder(in_channels: int = 3,
-                     seed: int | None = None,
+                     seed: int = 0,
                      scheme: InitScheme = InitScheme(),
                      widths: tuple[int, int] = (16, 32)) -> AutoEncoderParams:
     """Build the reconstruction autoencoder with fresh parameters."""
@@ -315,7 +320,7 @@ def init_autoencoder(in_channels: int = 3,
     w1, w2 = (int(v) for v in widths)
     if w1 < 1 or w2 < 1:
         raise ArgumentError(f"widths must be positive, got {widths}")
-    rng = np.random.default_rng(scheme.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     items: list[tuple[str, np.ndarray]] = []
 
     def conv(name, c_out, c_in):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .attack import adam_init, adam_step
 from .errors import ConfigurationError, DimensionError, FormatError
-from .nn import AutoEncoderParams, AutoEncoderPass, InitScheme, init_autoencoder
+from .nn import AutoEncoderParams, AutoEncoderPass, init_autoencoder
 
 MODEL_MAGIC = b"GIPIP01\x00"
 
@@ -46,10 +46,8 @@ class PriorTrainConfig:
             raise ConfigurationError(f"prior batch_size must be >= 1, got {self.batch_size}")
 
 
-def train_autoencoder(aux_images: np.ndarray, config: PriorTrainConfig,
-                      scheme: InitScheme = InitScheme(),
-                      widths: tuple[int, int] = (16, 32)
-                      ) -> tuple[AutoEncoderParams, list[float]]:
+def train_autoencoder(aux_images: np.ndarray,
+                      config: PriorTrainConfig) -> tuple[AutoEncoderParams, list[float]]:
     """Fit the autoencoder on auxiliary images.
 
     Returns the trained parameters and the per-epoch mean anomaly score
@@ -66,7 +64,7 @@ def train_autoencoder(aux_images: np.ndarray, config: PriorTrainConfig,
                                  "needs a non-empty auxiliary split")
     init_seed, shuffle_seed = (int(s.generate_state(1)[0])
                                for s in np.random.SeedSequence(config.seed).spawn(2))
-    params = init_autoencoder(c, seed=init_seed, scheme=scheme, widths=widths)
+    params = init_autoencoder(c, seed=init_seed)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     state = adam_init(params.arrays)
     trace: list[float] = []

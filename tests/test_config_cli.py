@@ -55,7 +55,6 @@ def test_empty_config_is_valid_and_carries_documented_defaults():
     cfg = config_from_dict({})
     assert cfg.name == "run"
     assert cfg.seed == 0
-    assert cfg.parallel_runs == 1
     assert cfg.dataset == "synthetic"
     assert cfg.synthetic_count == 600
     assert cfg.aux_mode == "named_split"
@@ -87,7 +86,7 @@ def test_items_covers_every_field_in_order():
     cfg = config_from_dict({})
     names = [k for k, _ in cfg.items()]
     assert names[0] == "name" and names[-1] == "output_dir"
-    assert len(names) == len(set(names)) == 30
+    assert len(names) == len(set(names)) == 29
 
 
 def test_unknown_section_and_key_are_hard_errors():
@@ -95,6 +94,14 @@ def test_unknown_section_and_key_are_hard_errors():
         config_from_dict({"atack": {"method": "dlg"}})
     with pytest.raises(ConfigurationError, match=r"unknown key 'count' in \[data\]"):
         config_from_dict({"data": {"count": "5"}})
+
+
+def test_parallel_runs_is_not_a_key(tmp_path):
+    # --jobs is the one parallelism control
+    with pytest.raises(ConfigurationError, match=r"unknown key 'parallel_runs'"):
+        config_from_dict({"experiment": {"parallel_runs": "2"}})
+    p = write_cfg(tmp_path / "c.ini", {"experiment": {"parallel_runs": "2"}})
+    assert main(["attack", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
 
 
 def test_scalar_parse_errors_name_the_offending_key():
