@@ -8,11 +8,17 @@ Three methods share one loop:
 The dummy batch starts from a standard normal draw and is optimized until
 the gradient it would produce matches the shared one.  Nothing in this
 module can see the ground-truth pixels; it consumes SharedGradient only.
+
+The objective hands back its value and a thunk for grad_x, and nothing
+sweeps grad_x before it is read.  dlg's closure is closure(x) -> (f, grad):
+the Armijo search tests values alone, and the loop calls grad() once per
+step, at the point the step starts from.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,28 +112,38 @@ def _two_loop(g: np.ndarray, s_list, y_list) -> np.ndarray:
 
 def _backtrack(x: np.ndarray, f: float, g: np.ndarray, d: np.ndarray,
                gd: float, closure):
+    """Armijo backtracking along d from x, on values alone.
+
+    Returns (x_new, f_new, grad, ok): ``grad`` is the accepted trial's
+    gradient thunk, not called, or ``lambda: g`` when every halving failed
+    and x is kept.
+    """
     alpha = 1.0
     for _ in range(LBFGS_MAX_BACKTRACKS + 1):
         x_try = x + alpha * d
-        f_try, g_try = closure(x_try)
+        f_try, grad = closure(x_try)
         if np.isfinite(f_try) and f_try <= f + LBFGS_C1 * alpha * gd:
-            return x_try, f_try, np.asarray(g_try, dtype=np.float64).ravel(), True
+            return x_try, f_try, grad, True
         alpha *= 0.5
-    return x, f, g, False
+    return x, f, lambda: g, False
 
 
 def lbfgs_step(state: LbfgsState, x: np.ndarray, f: float, g: np.ndarray,
-               closure) -> tuple[np.ndarray, float, np.ndarray, LbfgsState, bool]:
-    """One L-BFGS step from (x, f, g) using closure(x) -> (f, g).
+               closure) -> tuple[np.ndarray, float, Callable[[], np.ndarray],
+                                 LbfgsState, bool]:
+    """One L-BFGS step from (x, f, g) using closure(x) -> (f, grad).
 
-    Returns (x_new, f_new, g_new, state, stalled).  A curvature pair is
-    recorded from the previous accepted point when it is usable.  The
-    direction falls back to steepest descent if the two-loop result is not
-    a descent direction, and again if Armijo backtracking fails along the
-    two-loop direction (which happens at relu kinks, where the directional
-    derivative is one-sided).  The step stalls (x unchanged) only when the
-    line search fails after ``LBFGS_MAX_BACKTRACKS`` halvings along steepest
-    descent too.
+    ``grad()`` returns the flat float64 gradient at x; the closure defers
+    it, and the line search never calls it, so a rejected trial costs one
+    value.  Returns (x_new, f_new, grad, state, stalled), where ``grad`` is
+    the uncalled thunk of the accepted point, or ``lambda: g`` when the
+    step stalls.  A curvature pair is recorded from the previous accepted
+    point when it is usable.  The direction falls back to steepest descent
+    if the two-loop result is not a descent direction, and again if Armijo
+    backtracking fails along the two-loop direction (which happens at relu
+    kinks, where the directional derivative is one-sided).  The step stalls
+    (x unchanged) only when the line search fails after
+    ``LBFGS_MAX_BACKTRACKS`` halvings along steepest descent too.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     g = np.asarray(g, dtype=np.float64).ravel()
@@ -150,16 +166,16 @@ def lbfgs_step(state: LbfgsState, x: np.ndarray, f: float, g: np.ndarray,
 
     gg = -float(g @ g)
     if gg == 0.0:  # zero gradient: already stationary
-        return x, f, g, state, True
+        return x, f, lambda: g, state, True
     d = -_two_loop(g, state.s_list, state.y_list)
     gd = float(g @ d)
     steepest = gd >= 0.0
     if steepest:
         d, gd = -g, gg
-    x2, f2, g2, ok = _backtrack(x, f, g, d, gd, closure)
+    x2, f2, grad, ok = _backtrack(x, f, g, d, gd, closure)
     if not ok and not steepest:
-        x2, f2, g2, ok = _backtrack(x, f, g, -g, gg, closure)
-    return x2, f2, g2, state, not ok
+        x2, f2, grad, ok = _backtrack(x, f, g, -g, gg, closure)
+    return x2, f2, grad, state, not ok
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +224,6 @@ class AttackResult:
     """Output of run_attack: the reconstruction plus its optimization story."""
 
     recovered: np.ndarray               # [N, C, H, W]
-    iterations: int
     trace: tuple[tuple[int, float, float, float, float], ...]
     # (iteration, grad_loss, as_loss, tv_loss, total) for the best restart
     final_grad_loss: float
@@ -218,6 +233,8 @@ class AttackResult:
     restart_grad_losses: tuple[float, ...]
     stalled: bool
     steps: int                          # optimizer steps of the best restart
+    evaluations: int                    # objective values it computed
+    gradients: int                      # grad_x sweeps it ran
     wall_time_s: float
 
 
@@ -270,13 +287,24 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
     n = shared.batch_size
     c, h, w = theta_g.in_shape
 
+    work = [0, 0]   # this restart's objective values and grad_x sweeps
+
     def objective(x_arr: np.ndarray):
-        return total_objective(x_arr, theta_g, shared.labels, shared.gradient, config, theta_a)
+        parts, grad = total_objective(x_arr, theta_g, shared.labels, shared.gradient,
+                                      config, theta_a)
+        work[0] += 1
+
+        def counted_grad() -> np.ndarray:
+            work[1] += 1
+            return grad()
+
+        return parts, counted_grad
 
     t_start = time.monotonic()
     best = None
     restart_finals = []
     for r in range(config.restarts):
+        work[:] = [0, 0]
         x = init_dummy((n, c, h, w), restart_seed(config.seed, r))
         trace: list[tuple[int, float, float, float, float]] = []
         stalled = False
@@ -287,21 +315,23 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
 
             def closure(flat):
                 parts, grad = objective(flat.reshape(n, c, h, w))
-                return parts["total"], grad().ravel()
+                return parts["total"], lambda: grad().ravel()
 
             xf = x.ravel().copy()
-            f, g = closure(xf)
+            f, grad = closure(xf)
             for t in range(config.iterations):
                 if t % config.record_every == 0:
                     # f is the closure's value at xf; dlg has no prior terms
                     trace.append((t, f, 0.0, 0.0, f))
                     _finite_or_raise(f, "objective", trace)
-                xf, f, g, state, step_stalled = lbfgs_step(state, xf, f, g, closure)
+                # grad_x is swept once per step, at the point the step
+                # starts from; the line search's trials are values only
+                xf, f, grad, state, step_stalled = lbfgs_step(state, xf, f, grad(), closure)
                 if config.clamp:
                     clipped = np.clip(xf, 0.0, 1.0)
                     if not np.array_equal(clipped, xf):
                         xf = clipped
-                        f, g = closure(xf)
+                        f, grad = closure(xf)
                 if step_stalled:
                     stalled, steps = True, t + 1
                     break
@@ -332,11 +362,12 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
                           final_parts["tv"], final_parts["total"]))
         restart_finals.append(final_parts["grad"])
         if best is None or final_parts["grad"] < best[0]:
-            best = (final_parts["grad"], r, x, tuple(trace), final_parts, stalled, steps)
+            best = (final_parts["grad"], r, x, tuple(trace), final_parts, stalled, steps,
+                    tuple(work))
 
-    grad_final, best_r, x_best, trace_best, parts_best, stalled_best, steps_best = best
+    (grad_final, best_r, x_best, trace_best, parts_best, stalled_best, steps_best,
+     (evaluations, gradients)) = best
     return AttackResult(recovered=x_best,
-                        iterations=config.iterations,
                         trace=trace_best,
                         final_grad_loss=float(parts_best["grad"]),
                         final_as_loss=float(parts_best["as"]),
@@ -345,6 +376,8 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
                         restart_grad_losses=tuple(restart_finals),
                         stalled=stalled_best,
                         steps=steps_best,
+                        evaluations=evaluations,
+                        gradients=gradients,
                         wall_time_s=time.monotonic() - t_start)
 
 

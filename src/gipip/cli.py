@@ -274,6 +274,8 @@ def _experiment(cfg: ExperimentConfig, out_dir, jobs: int, command: str,
         manifest.append(f"run.{rid}.best_restart={outcome.best_restart}")
         manifest.append(f"run.{rid}.stalled={outcome.stalled}")
         manifest.append(f"run.{rid}.steps={outcome.steps}")
+        manifest.append(f"run.{rid}.evaluations={outcome.evaluations}")
+        manifest.append(f"run.{rid}.gradients={outcome.gradients}")
         manifest.append(f"run.{rid}.psnr_inf_count={report.psnr_inf_count}")
         manifest.append(f"run.{rid}.artifacts={';'.join(artifacts)}")
 

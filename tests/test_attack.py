@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gipip import attack, flsim, nn
+from gipip import attack, flsim, losses, nn
 from gipip.errors import (ArgumentError, ConfigurationError, ContractError,
                           NumericError, OracleInapplicableError)
 from gipip.losses import GradientVector
@@ -53,7 +53,7 @@ def _quadratic(scales):
     scales = np.asarray(scales)
 
     def closure(x):
-        return 0.5 * float(x @ (scales * x)), scales * x
+        return 0.5 * float(x @ (scales * x)), lambda: scales * x
 
     return closure
 
@@ -63,20 +63,24 @@ def test_lbfgs_first_direction_is_steepest_descent():
     # first move on 0.5|x|^2 lands exactly at the origin (full Armijo step)
     closure = _quadratic(np.ones(3))
     x = np.array([1.0, -2.0, 0.5])
-    f, g = closure(x)
-    x2, f2, g2, state, stalled = attack.lbfgs_step(attack.LbfgsState(), x, f, g, closure)
+    f, grad = closure(x)
+    x2, f2, grad2, state, stalled = attack.lbfgs_step(attack.LbfgsState(), x, f, grad(),
+                                                      closure)
     assert not stalled
     assert np.array_equal(x2, np.zeros(3))
     assert f2 == 0.0
+    assert np.array_equal(grad2(), np.zeros(3))
 
 
 def test_lbfgs_converges_on_anisotropic_quadratic():
     closure = _quadratic(np.array([100.0, 25.0, 4.0, 1.0, 0.04]))
     x = np.array([1.0, -1.5, 2.0, -2.5, 3.0])
-    f, g = closure(x)
+    f, grad = closure(x)
+    g = grad()
     state = attack.LbfgsState()
     for _ in range(50):
-        x, f, g, state, stalled = attack.lbfgs_step(state, x, f, g, closure)
+        x, f, grad, state, stalled = attack.lbfgs_step(state, x, f, g, closure)
+        g = grad()
         if np.linalg.norm(g) <= 1e-8:
             break
     assert np.linalg.norm(g) <= 1e-8
@@ -88,10 +92,10 @@ def test_lbfgs_never_accepts_an_increase():
     scales = rng.uniform(0.5, 50.0, 8)
     closure = _quadratic(scales)
     x = rng.standard_normal(8)
-    f, g = closure(x)
+    f, grad = closure(x)
     state = attack.LbfgsState()
     for _ in range(30):
-        x, f2, g, state, stalled = attack.lbfgs_step(state, x, f, g, closure)
+        x, f2, grad, state, stalled = attack.lbfgs_step(state, x, f, grad(), closure)
         assert f2 <= f
         f = f2
 
@@ -101,19 +105,21 @@ def test_lbfgs_stalls_when_no_descent_exists():
 
     def closure(x):
         # a cliff: every point except the start is worse, gradient lies
-        return (1.0, np.array([1.0])) if x[0] == 0.0 else (2.0, np.array([1.0]))
+        return (1.0 if x[0] == 0.0 else 2.0), lambda: np.array([1.0])
 
-    f, g = closure(x0)
-    x2, f2, g2, _, stalled = attack.lbfgs_step(attack.LbfgsState(), x0, f, g, closure)
+    f, grad = closure(x0)
+    g = grad()
+    x2, f2, grad2, _, stalled = attack.lbfgs_step(attack.LbfgsState(), x0, f, g, closure)
     assert stalled
     assert np.array_equal(x2, x0) and f2 == f
+    assert np.array_equal(grad2(), g)  # a stall hands back the gradient it was given
 
 
 def test_lbfgs_stationary_point_stalls():
     closure = _quadratic(np.ones(2))
     x = np.zeros(2)
-    f, g = closure(x)
-    _, _, _, _, stalled = attack.lbfgs_step(attack.LbfgsState(), x, f, g, closure)
+    f, grad = closure(x)
+    _, _, _, _, stalled = attack.lbfgs_step(attack.LbfgsState(), x, f, grad(), closure)
     assert stalled
 
 
@@ -228,7 +234,7 @@ def test_run_attack_decreases_matching_loss():
                               iterations=120, record_every=120, seed=2)
     res = attack.run_attack(shared, theta, cfg)
     assert res.final_grad_loss < res.trace[0][1] * 0.5
-    assert res.iterations == 120
+    assert res.steps == cfg.iterations
     assert 0.0 <= res.recovered.min() and res.recovered.max() <= 1.0  # clamped
 
 
@@ -305,6 +311,61 @@ def test_dlg_lbfgs_drives_mse_matching_down():
                               iterations=60, record_every=60, seed=4)
     res = attack.run_attack(shared, theta, cfg)
     assert res.final_grad_loss < res.trace[0][1] * 1e-3
+
+
+def _eager_dlg(shared, theta, cfg):
+    """dlg's loop with an eager closure: grad_x is swept at every trial and
+    wrapped as ``lambda: g``.  Returns (recovered, trace, clipped steps)."""
+    n = shared.batch_size
+    c, h, w = theta.in_shape
+
+    def closure(flat):
+        parts, grad = losses.total_objective(flat.reshape(n, c, h, w), theta,
+                                             shared.labels, shared.gradient, cfg)
+        g = grad().ravel()
+        return parts["total"], lambda: g
+
+    x = attack.init_dummy((n, c, h, w), attack.restart_seed(cfg.seed, 0)).ravel()
+    f, grad = closure(x)
+    state, trace, clips = attack.LbfgsState(), [], 0
+    for t in range(cfg.iterations):
+        if t % cfg.record_every == 0:
+            trace.append((t, f, 0.0, 0.0, f))
+        x, f, grad, state, stalled = attack.lbfgs_step(state, x, f, grad(), closure)
+        clipped = np.clip(x, 0.0, 1.0)
+        if not np.array_equal(clipped, x):
+            x, clips = clipped, clips + 1
+            f, grad = closure(x)
+        if stalled:
+            break
+    f, _ = closure(x)
+    if cfg.iterations % cfg.record_every == 0:
+        trace.append((cfg.iterations, f, 0.0, 0.0, f))
+    return x.reshape(n, c, h, w), tuple(trace), clips
+
+
+def test_dlg_sweeps_grad_x_only_at_kept_points(monkeypatch):
+    theta, _, shared = _scene(arch="convnet", shape=(2, 8, 8), seed=1)
+    cfg = attack.AttackConfig(method="dlg", lambda_as=0.0, lambda_tv=0.0,
+                              iterations=40, record_every=5, seed=1)
+    want, want_trace, clips = _eager_dlg(shared, theta, cfg)
+    assert clips >= 5
+
+    sweeps = []
+    input_vjp = nn.ClassifierGradient.input_vjp
+
+    def counted(self, v):
+        sweeps.append(1)
+        return input_vjp(self, v)
+
+    monkeypatch.setattr(nn.ClassifierGradient, "input_vjp", counted)
+    res = attack.run_attack(shared, theta, cfg)
+    # one sweep per step, at the point it starts from; the line search's
+    # trials and the clipped re-evaluations are values only
+    assert len(sweeps) == res.gradients == res.steps
+    assert res.gradients < res.evaluations
+    assert res.recovered.tobytes() == want.tobytes()
+    assert res.trace == want_trace
 
 
 # ---------------------------------------------------------------- closed form

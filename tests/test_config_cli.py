@@ -309,8 +309,11 @@ def test_attack_writes_expected_artifacts(tmp_path):
     text = manifest.read_text()
     assert "command=attack" in text
     assert "run.0.status=ok" in text
-    # Adam runs its whole budget; the count lives in the manifest only
+    # Adam runs its whole budget, with one value more than gradients;
+    # the counts live in the manifest only
     assert f"run.0.steps={cfg.iterations}" in text
+    assert f"run.0.evaluations={cfg.iterations + 1}" in text
+    assert f"run.0.gradients={cfg.iterations}" in text
     # wall time lives in the manifest, never in the CSV
     assert "wall_time" in text and "wall_time" not in ",".join(header)
 
