@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -230,7 +230,6 @@ class AttackResult:
     final_as_loss: float
     final_tv_loss: float
     best_restart: int
-    restart_grad_losses: tuple[float, ...]
     stalled: bool
     steps: int                          # optimizer steps of the best restart
     evaluations: int                    # objective values it computed
@@ -246,9 +245,9 @@ def init_dummy(shape, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-def restart_seed(seed: int, restart: int) -> int:
-    """Per-restart seed, stable under reordering of restarts."""
-    ss = np.random.SeedSequence((int(seed) & 0xFFFFFFFFFFFFFFFF, int(restart)))
+def derive_seed(*parts: int) -> int:
+    """Deterministic child seed from integer parts, e.g. (seed, restart)."""
+    ss = np.random.SeedSequence(tuple(int(p) & 0xFFFFFFFFFFFFFFFF for p in parts))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -301,11 +300,10 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
         return parts, counted_grad
 
     t_start = time.monotonic()
-    best = None
-    restart_finals = []
+    results = []
     for r in range(config.restarts):
         work[:] = [0, 0]
-        x = init_dummy((n, c, h, w), restart_seed(config.seed, r))
+        x = init_dummy((n, c, h, w), derive_seed(config.seed, r))
         trace: list[tuple[int, float, float, float, float]] = []
         stalled = False
         steps = config.iterations
@@ -360,25 +358,21 @@ def run_attack(shared: SharedGradient, theta_g: ClassifierParams,
         if config.iterations % config.record_every == 0:
             trace.append((config.iterations, final_parts["grad"], final_parts["as"],
                           final_parts["tv"], final_parts["total"]))
-        restart_finals.append(final_parts["grad"])
-        if best is None or final_parts["grad"] < best[0]:
-            best = (final_parts["grad"], r, x, tuple(trace), final_parts, stalled, steps,
-                    tuple(work))
+        results.append(AttackResult(recovered=x,
+                                    trace=tuple(trace),
+                                    final_grad_loss=float(final_parts["grad"]),
+                                    final_as_loss=float(final_parts["as"]),
+                                    final_tv_loss=float(final_parts["tv"]),
+                                    best_restart=r,
+                                    stalled=stalled,
+                                    steps=steps,
+                                    evaluations=work[0],
+                                    gradients=work[1],
+                                    wall_time_s=0.0))
 
-    (grad_final, best_r, x_best, trace_best, parts_best, stalled_best, steps_best,
-     (evaluations, gradients)) = best
-    return AttackResult(recovered=x_best,
-                        trace=trace_best,
-                        final_grad_loss=float(parts_best["grad"]),
-                        final_as_loss=float(parts_best["as"]),
-                        final_tv_loss=float(parts_best["tv"]),
-                        best_restart=best_r,
-                        restart_grad_losses=tuple(restart_finals),
-                        stalled=stalled_best,
-                        steps=steps_best,
-                        evaluations=evaluations,
-                        gradients=gradients,
-                        wall_time_s=time.monotonic() - t_start)
+    # min keeps the first of equal losses: the earliest restart wins a tie
+    best = min(results, key=lambda res: res.final_grad_loss)
+    return replace(best, wall_time_s=time.monotonic() - t_start)
 
 
 def closed_form_dense_leak(shared: SharedGradient,
@@ -396,8 +390,8 @@ def closed_form_dense_leak(shared: SharedGradient,
                             f"got batch_size {shared.batch_size}")
     if model_fingerprint(theta_g) != shared.model_fingerprint:
         raise ContractError("gradient does not belong to this model")
-    gw = shared.gradient.segment("fc_w")
-    gb = shared.gradient.segment("fc_b")
+    gw = shared.gradient.array("fc_w")
+    gb = shared.gradient.array("fc_b")
     i = int(np.argmax(np.abs(gb)))
     if abs(gb[i]) <= 1e-12:
         raise OracleInapplicableError("every bias gradient entry is below 1e-12; "

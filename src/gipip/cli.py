@@ -33,13 +33,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attack import AttackConfig, AttackResult, run_attack
+from .attack import AttackConfig, AttackResult, derive_seed, run_attack
 from .config import ExperimentConfig, load_config
 from .data import Dataset, load_cifar10, load_mnist, save_image, load_image, synthetic_textures
 from .errors import ConfigurationError, FormatError, GipipError
-from .flsim import SharedGradient, make_partition, simulate_round, verify_disjoint
+from .flsim import SharedGradient, make_partition, simulate_round
 from .metrics import evaluate_batch, mse, psnr, ssim
-from .nn import AutoEncoderParams, ClassifierParams, InitScheme, init_classifier
+from .nn import AutoEncoderParams, ClassifierParams, init_classifier
 from .prior import load_model, save_model, train_autoencoder
 
 # fixed tags keep every derived stream independent of the others
@@ -53,12 +53,6 @@ _SEED_RUN = 106
 RESULT_COLUMNS = ("run_id", "method", "dataset", "batch_size", "seed",
                   "lambda_as", "lambda_tv", "iterations", "final_grad_loss",
                   "final_as_loss", "final_tv_loss", "psnr", "ssim", "mse")
-
-
-def derive_seed(*parts: int) -> int:
-    """Deterministic child seed from integer parts."""
-    ss = np.random.SeedSequence(tuple(int(p) & 0xFFFFFFFFFFFFFFFF for p in parts))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def _fmt(value) -> str:
@@ -92,27 +86,20 @@ def load_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def build_partition(cfg: ExperimentConfig, ds: Dataset):
-    part = make_partition(ds, mode=cfg.aux_mode,
+    return make_partition(ds, mode=cfg.aux_mode,
                           seed=derive_seed(cfg.seed, _SEED_PARTITION),
                           fraction=cfg.aux_fraction if cfg.aux_mode == "fraction" else None)
-    verify_disjoint(part)
-    return part
 
 
 def build_model(cfg: ExperimentConfig, ds: Dataset) -> ClassifierParams:
     num_classes = len(ds.class_names) if ds.class_names else int(ds.labels.max()) + 1
-    scheme = InitScheme(kind=cfg.init, sigma=cfg.init_sigma)
     return init_classifier(cfg.arch, in_shape=ds.image_shape, num_classes=num_classes,
-                           seed=derive_seed(cfg.seed, _SEED_MODEL), scheme=scheme,
-                           hidden=cfg.hidden)
+                           seed=derive_seed(cfg.seed, _SEED_MODEL))
 
 
 def obtain_prior(cfg: ExperimentConfig, ds: Dataset, part, out_dir: Path,
-                 manifest: list[str]) -> AutoEncoderParams | None:
+                 manifest: list[str]) -> AutoEncoderParams:
     """Load the prior if a saved model exists, otherwise train and save it."""
-    if not cfg.prior_enabled:
-        manifest.append("prior.source=none")
-        return None
     path = Path(cfg.prior_model_path) if cfg.prior_model_path else out_dir / "prior_model.bin"
     if not path.is_absolute() and cfg.prior_model_path:
         path = out_dir / path
@@ -179,6 +166,8 @@ def _write_manifest(out_dir: Path, lines: list[str]) -> Path:
 
 def cmd_train_prior(cfg: ExperimentConfig, out_dir=None) -> Path:
     """Train the prior on the auxiliary split and persist it."""
+    if not cfg.prior_enabled:
+        raise ConfigurationError("train-prior needs [prior] enabled=true")
     out_dir = Path(out_dir if out_dir is not None else cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _manifest_header(cfg, "train-prior")
@@ -187,9 +176,7 @@ def cmd_train_prior(cfg: ExperimentConfig, out_dir=None) -> Path:
     part = build_partition(cfg, ds)
     manifest.append(f"dataset.count={ds.count}")
     manifest.append(f"partition.provenance={part.provenance}")
-    theta_a = obtain_prior(cfg, ds, part, out_dir, manifest)
-    if theta_a is None:
-        raise ConfigurationError("train-prior needs [prior] enabled=true")
+    obtain_prior(cfg, ds, part, out_dir, manifest)
     manifest.append(f"wall_time_total_s={time.monotonic() - t0:.3f}")
     manifest.append("artifact.trace=prior_trace.csv")
     return _write_manifest(out_dir, manifest)

@@ -8,9 +8,10 @@ prior (ig, dlg) and lambda_tv falls to 0 for dlg, unless set explicitly.
 Each key is declared once, as a field of ``ExperimentConfig``: the field's
 metadata names its section and its allowed values, its key is its name less
 a ``<section>_`` prefix, and its type picks the parser.  The defaults of the
-[attack] and [prior] keys and of init/init_sigma are those of
-``AttackConfig``, ``PriorTrainConfig`` and ``InitScheme``; each choice list
-is the one its owning module checks against.
+[attack] and [prior] keys are those of ``AttackConfig`` and
+``PriorTrainConfig``; each choice list is the one its owning module checks
+against.  What the paper never varies (the weight-init law, mlp2's width)
+is a constant of ``nn``, not a key.
 """
 
 from __future__ import annotations
@@ -23,15 +24,12 @@ from .attack import METHODS, AttackConfig
 from .data import DATASETS
 from .errors import ConfigurationError
 from .flsim import PARTITION_MODES
-from .nn import CLASSIFIER_ARCHS, INIT_KINDS, InitScheme
+from .nn import CLASSIFIER_ARCHS
 from .prior import PriorTrainConfig
-
-_BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,
-               "false": False, "no": False, "0": False, "off": False}
 
 
 def _parse_bool(raw: str, where: str) -> bool:
-    v = _BOOL_WORDS.get(raw.strip().lower())
+    v = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
     if v is None:
         raise ConfigurationError(f"{where}: expected a boolean, got '{raw}'")
     return v
@@ -87,9 +85,6 @@ class ExperimentConfig:
     num_targets: int = _key("data", 4)
     batch_size: int = _key("data", 1)
     arch: str = _key("model", "convnet", CLASSIFIER_ARCHS)
-    init: str = _key("model", InitScheme.kind, INIT_KINDS)
-    init_sigma: float = _key("model", InitScheme.sigma)
-    hidden: int = _key("model", 64)
     prior_enabled: bool = _key("prior", True)
     prior_epochs: int = _key("prior", PriorTrainConfig.epochs)
     prior_learning_rate: float = _key("prior", PriorTrainConfig.learning_rate)
@@ -140,14 +135,12 @@ def _validate(values: dict[str, object]) -> ExperimentConfig:
         values.setdefault("lambda_tv", 0.0)
     cfg = ExperimentConfig(**values)
 
-    for name in ("synthetic_count", "num_targets", "batch_size", "hidden"):
+    for name in ("synthetic_count", "num_targets", "batch_size"):
         if getattr(cfg, name) < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     # the attack and prior-training rules live with the configs they build
     cfg.attack_config(cfg.lambda_as, cfg.seed)
     cfg.prior_config(cfg.seed)
-    if cfg.init_sigma < 0:
-        raise ConfigurationError("init_sigma must be >= 0")
     if cfg.aux_mode == "fraction" and not (0.0 < cfg.aux_fraction < 1.0):
         raise ConfigurationError(f"aux_fraction must be in (0, 1), got {cfg.aux_fraction}")
     if cfg.num_targets % cfg.batch_size != 0:

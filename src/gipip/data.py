@@ -10,6 +10,7 @@ quantization to 8 bits.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,49 +79,52 @@ def _read_exact(fh, n: int, path, offset: int) -> bytes:
     return buf
 
 
+def _read_idx(path, magic: int) -> tuple[tuple[int, ...], bytes]:
+    """An IDX file's dims and uint8 payload.  The magic's low byte is the
+    number of dims, each a big-endian u32 after it."""
+    ndim = magic & 0xFF
+    head = 4 + 4 * ndim
+    with _open_maybe_gz(path) as fh:
+        got, = struct.unpack(">I", _read_exact(fh, 4, path, 0))
+        if got != magic:
+            raise FormatError(f"{path}: bad magic 0x{got:08x} at offset 0, "
+                              f"expected 0x{magic:08x}")
+        dims = struct.unpack(f">{ndim}I", _read_exact(fh, head - 4, path, 4))
+        size = math.prod(dims)
+        raw = _read_exact(fh, size, path, head)
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after offset {head + size}")
+    return dims, raw
+
+
 def load_idx(images_path, labels_path, name: str = "idx") -> Dataset:
     """Load an IDX image/label file pair (optionally gzip-compressed)."""
-    with _open_maybe_gz(images_path) as fh:
-        magic, = struct.unpack(">I", _read_exact(fh, 4, images_path, 0))
-        if magic != _IDX_IMAGES_MAGIC:
-            raise FormatError(f"{images_path}: bad magic 0x{magic:08x} at offset 0, "
-                              f"expected 0x{_IDX_IMAGES_MAGIC:08x}")
-        n, h, w = struct.unpack(">III", _read_exact(fh, 12, images_path, 4))
-        raw = _read_exact(fh, n * h * w, images_path, 16)
-        if fh.read(1):
-            raise FormatError(f"{images_path}: trailing bytes after offset {16 + n * h * w}")
+    (n, h, w), raw = _read_idx(images_path, _IDX_IMAGES_MAGIC)
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, h, w).astype(np.float64) / 255.0
-
-    with _open_maybe_gz(labels_path) as fh:
-        magic, = struct.unpack(">I", _read_exact(fh, 4, labels_path, 0))
-        if magic != _IDX_LABELS_MAGIC:
-            raise FormatError(f"{labels_path}: bad magic 0x{magic:08x} at offset 0, "
-                              f"expected 0x{_IDX_LABELS_MAGIC:08x}")
-        ln, = struct.unpack(">I", _read_exact(fh, 4, labels_path, 4))
-        lraw = _read_exact(fh, ln, labels_path, 8)
-        if fh.read(1):
-            raise FormatError(f"{labels_path}: trailing bytes after offset {8 + ln}")
+    (ln,), lraw = _read_idx(labels_path, _IDX_LABELS_MAGIC)
     labels = np.frombuffer(lraw, dtype=np.uint8).astype(np.int64)
-
     if ln != n:
         raise FormatError(f"{labels_path}: {ln} labels for {n} images in {images_path}")
     return Dataset(name=name, images=images, labels=labels)
+
+
+def _pick(directory: Path, stem: str, suffixes: tuple[str, ...]) -> Path:
+    # the first of stem + suffix that exists under directory
+    for suffix in suffixes:
+        p = directory / (stem + suffix)
+        if p.exists():
+            return p
+    raise ConfigurationError(f"missing {' or '.join(stem + s for s in suffixes)} "
+                             f"under {directory}")
 
 
 def load_mnist(directory) -> Dataset:
     """Load the standard four-file MNIST directory; test images become the
     named eval split."""
     d = Path(directory)
-
-    def pick(stem):
-        for suffix in ("", ".gz"):
-            p = d / (stem + suffix)
-            if p.exists():
-                return p
-        raise ConfigurationError(f"missing {stem}[.gz] under {d}")
-
-    train = load_idx(pick("train-images-idx3-ubyte"), pick("train-labels-idx1-ubyte"))
-    test = load_idx(pick("t10k-images-idx3-ubyte"), pick("t10k-labels-idx1-ubyte"))
+    train, test = (load_idx(_pick(d, f"{prefix}-images-idx3-ubyte", ("", ".gz")),
+                            _pick(d, f"{prefix}-labels-idx1-ubyte", ("", ".gz")))
+                   for prefix in ("train", "t10k"))
     images = np.concatenate([train.images, test.images])
     labels = np.concatenate([train.labels, test.labels])
     eval_split = np.arange(train.count, train.count + test.count)
@@ -147,37 +151,14 @@ def _load_cifar_file(path) -> tuple[np.ndarray, np.ndarray]:
 
 def load_cifar10(directory) -> Dataset:
     """Load CIFAR-10 binary batches; the test batch becomes the eval split."""
-    d = Path(directory)
-
-    def pick(stem):
-        for cand in (d / f"{stem}.bin", d / stem):
-            if cand.exists():
-                return cand
-        raise ConfigurationError(f"missing {stem}(.bin) under {d}")
-
-    parts = [_load_cifar_file(pick(f"data_batch_{i}")) for i in range(1, 6)]
-    test_images, test_labels = _load_cifar_file(pick("test_batch"))
-    images = np.concatenate([p[0] for p in parts] + [test_images])
-    labels = np.concatenate([p[1] for p in parts] + [test_labels])
-    n_train = sum(len(p[1]) for p in parts)
-    eval_split = np.arange(n_train, n_train + len(test_labels))
+    stems = [f"data_batch_{i}" for i in range(1, 6)] + ["test_batch"]
+    parts = [_load_cifar_file(_pick(Path(directory), stem, (".bin", ""))) for stem in stems]
+    images = np.concatenate([p[0] for p in parts])
+    labels = np.concatenate([p[1] for p in parts])
+    n = len(labels)
+    eval_split = np.arange(n - len(parts[-1][1]), n)
     return Dataset(name="cifar10", images=images, labels=labels,
                    class_names=CIFAR10_CLASSES, eval_split=eval_split)
-
-
-def save_cifar10_file(path, images: np.ndarray, labels: np.ndarray) -> None:
-    """Write images/labels as one CIFAR-10 binary batch file."""
-    images = np.asarray(images)
-    labels = np.asarray(labels)
-    if images.ndim != 4 or images.shape[1:] != (3, 32, 32):
-        raise DimensionError(f"CIFAR-10 records are [N, 3, 32, 32], got {images.shape}")
-    if labels.shape != (images.shape[0],) or (labels.size and labels.max() > 9):
-        raise ArgumentError("labels must be one value in [0, 9] per image")
-    q = quantize_u8(images)
-    rec = np.empty((images.shape[0], _CIFAR_RECORD), dtype=np.uint8)
-    rec[:, 0] = labels
-    rec[:, 1:] = q.reshape(images.shape[0], -1)
-    Path(path).write_bytes(rec.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,9 @@ def model_fingerprint(params) -> str:
     """SHA-256 over metadata, parameter names, shapes and raw values."""
     h = hashlib.sha256()
     for f in fields(params):
-        if f.name == "items":
-            continue
-        h.update(f"{f.name}={getattr(params, f.name)!r};".encode())
-    for name, a in params.items:
+        if f.name not in ("names", "arrays"):
+            h.update(f"{f.name}={getattr(params, f.name)!r};".encode())
+    for name, a in zip(params.names, params.arrays):
         h.update(name.encode())
         h.update(str(a.shape).encode())
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())

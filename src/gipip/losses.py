@@ -24,7 +24,6 @@ reference the tests hold the matching term to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -33,7 +32,8 @@ import numpy as np
 from . import kernels as kn
 from . import tensor as tt
 from .errors import ArgumentError, DimensionError
-from .nn import AutoEncoderParams, AutoEncoderPass, ClassifierGradient, ClassifierParams
+from .nn import (AutoEncoderParams, AutoEncoderPass, ClassifierGradient, ClassifierParams,
+                 NamedArrays)
 from .tensor import Tensor
 
 if TYPE_CHECKING:
@@ -42,30 +42,8 @@ if TYPE_CHECKING:
 MATCHING_KINDS = ("cosine", "mse")
 
 
-@dataclass(frozen=True)
-class GradientVector:
+class GradientVector(NamedArrays):
     """An ordered, named collection of gradient arrays (one per parameter)."""
-
-    names: tuple[str, ...]
-    arrays: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.names) != len(self.arrays):
-            raise ArgumentError("GradientVector: names and arrays differ in length")
-        if len(set(self.names)) != len(self.names):
-            raise ArgumentError("GradientVector: duplicate segment names")
-
-    def __setstate__(self, state):
-        # numpy does not keep the writeable flag through pickle
-        for a in state["arrays"]:
-            a.setflags(write=False)
-        self.__dict__.update(state)
-
-    def segment(self, name: str) -> np.ndarray:
-        for n, a in zip(self.names, self.arrays):
-            if n == name:
-                return a
-        raise ArgumentError(f"no gradient segment named '{name}'")
 
     @cached_property
     def sq_norm(self) -> float:
@@ -74,13 +52,13 @@ class GradientVector:
         return kn.dot(self.arrays, self.arrays)
 
 
-def _check_pair(names, arrays, target: GradientVector) -> None:
+def _check_pair(pred: NamedArrays, target: GradientVector) -> None:
     # the prediction's segment names and arrays against the target's
-    if not arrays or not target.arrays:
+    if not pred.arrays or not target.arrays:
         raise ArgumentError("gradient vectors must be non-empty")
-    if names != target.names:
-        raise ArgumentError(f"gradient segments differ: {names} vs {target.names}")
-    for n, p, t in zip(names, arrays, target.arrays):
+    if pred.names != target.names:
+        raise ArgumentError(f"gradient segments differ: {pred.names} vs {target.names}")
+    for n, p, t in zip(pred.names, pred.arrays, target.arrays):
         if p.shape != t.shape:
             raise DimensionError(f"segment '{n}': shapes {p.shape} vs {t.shape}")
 
@@ -101,7 +79,7 @@ def gradient_matching(pred: GradientVector, target: GradientVector,
     so a degenerate iterate stalls instead of going NaN.  A zero-norm
     target is a caller bug and raises.
     """
-    _check_pair(pred.names, pred.arrays, target)
+    _check_pair(pred, target)
     if kind == "mse":
         d = tuple(tt.sub(p, t) for p, t in zip(pred.arrays, target.arrays))
         return tt.dot(d, d)
@@ -208,7 +186,7 @@ def _matching_term(x: np.ndarray, theta_g: ClassifierParams, labels,
     grad_x <g'(x), v>.  The guards are gradient_matching's: a zero-norm
     target raises, and a zero-norm prediction under cosine gives the value
     1 with x_cots None, a constant."""
-    _check_pair(theta_g.names, theta_g.arrays, target)
+    _check_pair(theta_g, target)
     tgt = target.arrays
     if kind == "cosine":
         n_tgt = target.sq_norm

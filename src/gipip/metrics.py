@@ -153,11 +153,9 @@ def optimal_assignment(recovered: np.ndarray, truth: np.ndarray) -> tuple[int, .
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Per-image and aggregate quality of one recovered batch."""
+    """The pairing and aggregate quality of one recovered batch."""
 
     pairing: tuple[int, ...]
-    psnr_values: tuple[float, ...]
-    ssim_values: tuple[float, ...]
     mean_mse: float
     mean_psnr: float          # over finite entries only
     psnr_inf_count: int
@@ -186,8 +184,6 @@ def evaluate_batch(recovered: np.ndarray, truth: np.ndarray) -> MetricReport:
     inf_count = len(psnrs) - len(finite)
     mean_psnr = float(np.mean(finite)) if finite else float("inf")
     return MetricReport(pairing=pairing,
-                        psnr_values=tuple(psnrs),
-                        ssim_values=tuple(ssims),
                         mean_mse=float(np.mean(mses)),
                         mean_psnr=mean_psnr,
                         psnr_inf_count=inf_count,

@@ -1,9 +1,11 @@
 """Model zoo: three small classifiers and the convolutional autoencoder.
 
-Parameters live in frozen dataclasses as ordered (name, array) pairs; the
-order is canonical per architecture and everything downstream (gradient
-vectors, serialization, fingerprints) relies on it.  Every array is
-``kernels.frozen``: read-only, C-ordered float64.
+Parameters live in frozen ``NamedArrays`` dataclasses, a tuple of names
+and a tuple of arrays; the order is canonical per architecture and
+everything downstream (gradient vectors, serialization, fingerprints)
+relies on it.  Every array is ``kernels.frozen``: read-only, C-ordered
+float64.  Weights are drawn kaiming-uniform, U(+-sqrt(6/fan_in)), and
+biases start at zero.
 
 Classifier architectures:
   dense1   flatten -> fc                                  [w, b]
@@ -37,85 +39,61 @@ from .errors import ArgumentError, DimensionError
 from .tensor import Tensor
 
 CLASSIFIER_ARCHS = ("dense1", "mlp2", "convnet")
-INIT_KINDS = ("kaiming_uniform", "normal")
 
 
-@dataclass(frozen=True)
-class InitScheme:
-    """How to draw initial weights.
-
-    kind 'kaiming_uniform' draws U(+-sqrt(6/fan_in)); 'normal' draws
-    N(0, sigma^2).  Biases start at zero either way.
-    """
-
-    kind: str = INIT_KINDS[0]
-    sigma: float = 0.05
-
-    def __post_init__(self):
-        if self.kind not in INIT_KINDS:
-            raise ArgumentError(f"unknown init kind '{self.kind}'")
-        if self.sigma < 0:
-            raise ArgumentError("init sigma must be >= 0")
-
-
-def _draw(rng, scheme: InitScheme, fan_in: int, shape) -> np.ndarray:
-    if scheme.kind == "normal":
-        return rng.normal(0.0, scheme.sigma, shape)
+def _draw(rng, fan_in: int, shape) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, shape)
 
 
-class _ParamOps:
-    """Shared helpers for the parameter dataclasses."""
+@dataclass(frozen=True)
+class NamedArrays:
+    """Ordered, uniquely named arrays: the base of every parameter bundle and
+    of ``losses.GradientVector``."""
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.items)
+    names: tuple[str, ...]
+    arrays: tuple[np.ndarray, ...]
 
-    @property
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return tuple(a for _, a in self.items)
-
-    def array(self, name: str) -> np.ndarray:
-        for n, a in self.items:
-            if n == name:
-                return a
-        raise ArgumentError(f"no parameter named '{name}'")
-
-    def with_values(self, arrays):
-        """Same structure, new values (used by optimizers and loaders)."""
-        arrays = list(arrays)
-        if len(arrays) != len(self.items):
-            raise ArgumentError(f"expected {len(self.items)} arrays, got {len(arrays)}")
-        new_items = []
-        for (name, old), arr in zip(self.items, arrays):
-            arr = np.asarray(arr)
-            if arr.shape != old.shape:
-                raise DimensionError(f"parameter '{name}': shape {arr.shape} "
-                                     f"does not match {old.shape}")
-            new_items.append((name, kn.frozen(arr)))
-        return replace(self, items=tuple(new_items))
+    def __post_init__(self):
+        if len(self.names) != len(self.arrays):
+            raise ArgumentError(f"{type(self).__name__}: names and arrays differ in length")
+        if len(set(self.names)) != len(self.names):
+            raise ArgumentError(f"{type(self).__name__}: duplicate names")
 
     def __setstate__(self, state):
         # numpy does not keep the writeable flag through pickle
-        for _, a in state["items"]:
+        for a in state["arrays"]:
             a.setflags(write=False)
         self.__dict__.update(state)
 
+    def array(self, name: str) -> np.ndarray:
+        if name not in self.names:
+            raise ArgumentError(f"no array named '{name}'")
+        return self.arrays[self.names.index(name)]
+
+    def with_values(self, arrays):
+        """Same structure, new frozen values (used by optimizers and loaders)."""
+        arrays = [np.asarray(a) for a in arrays]
+        if len(arrays) != len(self.arrays):
+            raise ArgumentError(f"expected {len(self.arrays)} arrays, got {len(arrays)}")
+        for name, old, arr in zip(self.names, self.arrays, arrays):
+            if arr.shape != old.shape:
+                raise DimensionError(f"parameter '{name}': shape {arr.shape} "
+                                     f"does not match {old.shape}")
+        return replace(self, arrays=tuple(map(kn.frozen, arrays)))
+
 
 @dataclass(frozen=True)
-class ClassifierParams(_ParamOps):
+class ClassifierParams(NamedArrays):
     arch: str
     in_shape: tuple[int, int, int]
     num_classes: int
-    items: tuple[tuple[str, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
-class AutoEncoderParams(_ParamOps):
+class AutoEncoderParams(NamedArrays):
     in_channels: int
     widths: tuple[int, int]
-    items: tuple[tuple[str, np.ndarray], ...]
 
     @cached_property
     def phase_kernels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -128,13 +106,13 @@ def init_classifier(arch: str,
                     in_shape: tuple[int, int, int] = (3, 32, 32),
                     num_classes: int = 10,
                     seed: int = 0,
-                    scheme: InitScheme = InitScheme(),
                     hidden: int = 64,
                     channels: tuple[int, int, int] = (8, 16, 32)) -> ClassifierParams:
     """Build a classifier with freshly drawn parameters.
 
-    Same (arch, shapes, seed, scheme) always yields bit-identical values:
-    a single generator is consumed in canonical parameter order.
+    Same (arch, shapes, seed) always yields bit-identical values: a single
+    generator is consumed in canonical parameter order.  ``hidden`` is
+    mlp2's width.
     """
     if arch not in CLASSIFIER_ARCHS:
         raise ArgumentError(f"unknown architecture '{arch}', expected one of {CLASSIFIER_ARCHS}")
@@ -146,8 +124,8 @@ def init_classifier(arch: str,
     items: list[tuple[str, np.ndarray]] = []
 
     def fc(name, n_out, n_in):
-        items.append((f"{name}_w", kn.frozen(_draw(rng, scheme, n_in, (n_out, n_in)))))
-        items.append((f"{name}_b", kn.frozen(np.zeros(n_out))))
+        items.append((f"{name}_w", _draw(rng, n_in, (n_out, n_in))))
+        items.append((f"{name}_b", np.zeros(n_out)))
 
     if arch == "dense1":
         fc("fc", num_classes, d)
@@ -160,17 +138,17 @@ def init_classifier(arch: str,
         hh, ww = h, w
         for i, c_out in enumerate(channels, start=1):
             fan = c_in * 9
-            items.append((f"conv{i}_w",
-                          kn.frozen(_draw(rng, scheme, fan, (c_out, c_in, 3, 3)))))
-            items.append((f"conv{i}_b", kn.frozen(np.zeros(c_out))))
+            items.append((f"conv{i}_w", _draw(rng, fan, (c_out, c_in, 3, 3))))
+            items.append((f"conv{i}_b", np.zeros(c_out)))
             hh, ww = kn.conv_out_hw(hh, ww, 3, 2, 1)
             if hh < 1 or ww < 1:
                 raise DimensionError(f"input {in_shape} too small for convnet stage {i}")
             c_in = c_out
         fc("fc", num_classes, c_in * hh * ww)
 
-    return ClassifierParams(arch=arch, in_shape=(c, h, w), num_classes=num_classes,
-                            items=tuple(items))
+    names, arrays = zip(*items)
+    return ClassifierParams(names=names, arrays=tuple(map(kn.frozen, arrays)), arch=arch,
+                            in_shape=(c, h, w), num_classes=num_classes)
 
 
 def _check_images(images: np.ndarray, in_shape) -> None:
@@ -312,7 +290,6 @@ class ClassifierGradient:
 
 def init_autoencoder(in_channels: int = 3,
                      seed: int = 0,
-                     scheme: InitScheme = InitScheme(),
                      widths: tuple[int, int] = (16, 32)) -> AutoEncoderParams:
     """Build the reconstruction autoencoder with fresh parameters."""
     if in_channels < 1:
@@ -324,14 +301,16 @@ def init_autoencoder(in_channels: int = 3,
     items: list[tuple[str, np.ndarray]] = []
 
     def conv(name, c_out, c_in):
-        items.append((f"{name}_w", kn.frozen(_draw(rng, scheme, c_in * 9, (c_out, c_in, 3, 3)))))
-        items.append((f"{name}_b", kn.frozen(np.zeros(c_out))))
+        items.append((f"{name}_w", _draw(rng, c_in * 9, (c_out, c_in, 3, 3))))
+        items.append((f"{name}_b", np.zeros(c_out)))
 
     conv("enc1", w1, in_channels)
     conv("enc2", w2, w1)
     conv("dec1", w1, w2)
     conv("dec2", in_channels, w1)
-    return AutoEncoderParams(in_channels=in_channels, widths=(w1, w2), items=tuple(items))
+    names, arrays = zip(*items)
+    return AutoEncoderParams(names=names, arrays=tuple(map(kn.frozen, arrays)),
+                             in_channels=in_channels, widths=(w1, w2))
 
 
 def _check_autoencoder_input(params: AutoEncoderParams, images: np.ndarray) -> None:

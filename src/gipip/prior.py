@@ -101,8 +101,8 @@ def save_model(path, params) -> None:
     """Serialize any parameter bundle (canonical order) to the model format."""
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", len(params.items)))
-        for name, a in params.items:
+        fh.write(struct.pack("<I", len(params.arrays)))
+        for name, a in zip(params.names, params.arrays):
             _write_tensor(fh, name, a)
 
 
@@ -174,8 +174,8 @@ def load_model(path) -> AutoEncoderParams:
     in_channels = e1.shape[1]
     widths = (e1.shape[0], by_name["enc2_w"].shape[0])
     template = init_autoencoder(in_channels, seed=0, widths=widths)
-    for name, t in template.items:
+    for name, t in zip(template.names, template.arrays):
         if by_name[name].shape != t.shape:
             raise FormatError(f"{path}: tensor '{name}' has shape {by_name[name].shape}, "
                               f"expected {t.shape}")
-    return template.with_values([by_name[name] for name, _ in template.items])
+    return template.with_values([by_name[name] for name in template.names])

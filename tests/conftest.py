@@ -14,7 +14,8 @@ import pytest  # noqa: E402
 
 from gipip import nn, prior  # noqa: E402
 from gipip import tensor as tt  # noqa: E402
-from gipip.data import synthetic_textures  # noqa: E402
+from gipip.data import quantize_u8, synthetic_textures  # noqa: E402
+from gipip.errors import ArgumentError, DimensionError  # noqa: E402
 
 
 def rel_err(got: np.ndarray, want: np.ndarray) -> float:
@@ -50,7 +51,22 @@ def grad_of(build, *arrays):
 
 def variables(params):
     """``params`` with every array an engine variable, to differentiate by."""
-    return replace(params, items=tuple((n, tt.variable(a)) for n, a in params.items))
+    return replace(params, arrays=tuple(map(tt.variable, params.arrays)))
+
+
+def save_cifar10_file(path, images: np.ndarray, labels: np.ndarray) -> None:
+    """Write images/labels as one CIFAR-10 binary batch file."""
+    images = np.asarray(images)
+    labels = np.asarray(labels)
+    if images.ndim != 4 or images.shape[1:] != (3, 32, 32):
+        raise DimensionError(f"CIFAR-10 records are [N, 3, 32, 32], got {images.shape}")
+    if labels.shape != (images.shape[0],) or (labels.size and labels.max() > 9):
+        raise ArgumentError("labels must be one value in [0, 9] per image")
+    rec = np.empty((images.shape[0], 3073), dtype=np.uint8)   # label byte + pixels
+    rec[:, 0] = labels
+    rec[:, 1:] = quantize_u8(images).reshape(images.shape[0], -1)
+    with open(path, "wb") as fh:
+        fh.write(rec.tobytes())
 
 
 def check_grads(build, arrays, tol: float = 1e-6, h: float = 1e-5):

@@ -27,7 +27,7 @@ from gipip import cli as gcli
 from gipip import tensor as tt
 from gipip.config import config_from_dict
 
-from conftest import fd_grad, rel_err
+from conftest import fd_grad, rel_err, save_cifar10_file
 
 ITERS = 800                     # attack budget for the ordering criteria
 ANIMALS = (2, 3, 4, 5, 7)       # the five smooth "animal" texture classes
@@ -44,10 +44,9 @@ def cifar(tmp_path_factory):
     d = tmp_path_factory.mktemp("cifar")
     train = np.setdiff1d(np.arange(src.count), src.eval_split)
     for i, chunk in enumerate(np.array_split(train, 5), start=1):
-        data.save_cifar10_file(d / f"data_batch_{i}.bin",
-                               src.images[chunk], src.labels[chunk])
-    data.save_cifar10_file(d / "test_batch.bin",
-                           src.images[src.eval_split], src.labels[src.eval_split])
+        save_cifar10_file(d / f"data_batch_{i}.bin", src.images[chunk], src.labels[chunk])
+    save_cifar10_file(d / "test_batch.bin",
+                      src.images[src.eval_split], src.labels[src.eval_split])
     ds = data.load_cifar10(d)
     # the corpus sits on the 8-bit grid, so the round trip must be exact
     assert np.array_equal(ds.images, src.images)
@@ -99,8 +98,9 @@ def invert(theta, ds, idx, method, lam_as, seed, theta_a=None, iters=ITERS):
     cfg = attack.AttackConfig(method=method, lambda_as=lam_as, lambda_tv=lam_tv,
                               iterations=iters, record_every=iters, seed=seed)
     res = attack.run_attack(shared, theta, cfg, theta_a=theta_a)
-    report = metrics.evaluate_batch(np.clip(res.recovered, 0.0, 1.0), truth)
-    return report.psnr_values
+    recovered = np.clip(res.recovered, 0.0, 1.0)
+    pairing = metrics.evaluate_batch(recovered, truth).pairing
+    return [metrics.psnr(r, truth[j]) for r, j in zip(recovered, pairing)]
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +477,8 @@ def test_a4_batch_size_degradation(cifar, classifier, partition, full_prior):
     for b in (1, 4, 8):
         vals = []
         for s, start in enumerate(range(0, len(targets), b)):
-            vals += list(invert(classifier, cifar, targets[start:start + b],
-                                "gipip", 1e-4, seed=s, theta_a=full_prior))
+            vals += invert(classifier, cifar, targets[start:start + b],
+                           "gipip", 1e-4, seed=s, theta_a=full_prior)
         means.append(float(np.mean(vals)))
     assert means[0] > means[1] > means[2], means
     print(f"A4 PASS: mean PSNR strictly decreases over batch sizes 1/4/8: "

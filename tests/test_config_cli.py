@@ -62,9 +62,6 @@ def test_empty_config_is_valid_and_carries_documented_defaults():
     assert cfg.num_targets == 4
     assert cfg.batch_size == 1
     assert cfg.arch == "convnet"
-    assert cfg.init == "kaiming_uniform"
-    assert cfg.init_sigma == 0.05
-    assert cfg.hidden == 64
     assert cfg.prior_enabled is True
     assert cfg.prior_epochs == 30
     assert cfg.prior_learning_rate == 1e-3
@@ -86,7 +83,7 @@ def test_items_covers_every_field_in_order():
     cfg = config_from_dict({})
     names = [k for k, _ in cfg.items()]
     assert names[0] == "name" and names[-1] == "output_dir"
-    assert len(names) == len(set(names)) == 29
+    assert len(names) == len(set(names)) == 26
 
 
 def test_unknown_section_and_key_are_hard_errors():
@@ -96,11 +93,16 @@ def test_unknown_section_and_key_are_hard_errors():
         config_from_dict({"data": {"count": "5"}})
 
 
-def test_parallel_runs_is_not_a_key(tmp_path):
-    # --jobs is the one parallelism control
-    with pytest.raises(ConfigurationError, match=r"unknown key 'parallel_runs'"):
-        config_from_dict({"experiment": {"parallel_runs": "2"}})
-    p = write_cfg(tmp_path / "c.ini", {"experiment": {"parallel_runs": "2"}})
+@pytest.mark.parametrize("section, key", [
+    ("experiment", "parallel_runs"),    # --jobs is the one parallelism control
+    ("model", "init"),                  # weights are always kaiming-uniform
+    ("model", "init_sigma"),
+    ("model", "hidden"),                # mlp2's width is a constant of nn
+])
+def test_parallel_runs_is_not_a_key(tmp_path, section, key):
+    with pytest.raises(ConfigurationError, match=rf"unknown key '{key}'"):
+        config_from_dict({section: {key: "2"}})
+    p = write_cfg(tmp_path / "c.ini", {section: {key: "2"}})
     assert main(["attack", "--config", str(p), "--output", str(tmp_path / "o")]) == 2
 
 

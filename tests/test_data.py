@@ -10,7 +10,7 @@ from gipip import attack, data, nn
 from gipip import tensor as tt
 from gipip.errors import ArgumentError, ConfigurationError, DimensionError, FormatError
 
-from conftest import variables
+from conftest import save_cifar10_file, variables
 
 
 def write_idx_images(path, arr_u8):
@@ -106,8 +106,8 @@ def test_cifar_round_trip_bit_identical(tmp_path):
     images = _grid(rng.random((4, 3, 32, 32)))
     labels = np.array([0, 9, 3, 3])
     for i in range(1, 6):
-        data.save_cifar10_file(tmp_path / f"data_batch_{i}.bin", images, labels)
-    data.save_cifar10_file(tmp_path / "test_batch.bin", images[:2], labels[:2])
+        save_cifar10_file(tmp_path / f"data_batch_{i}.bin", images, labels)
+    save_cifar10_file(tmp_path / "test_batch.bin", images[:2], labels[:2])
     ds = data.load_cifar10(tmp_path)
     assert ds.count == 22
     assert np.array_equal(ds.images[:4], images)
@@ -138,10 +138,9 @@ def test_cifar_rejects_bad_label(tmp_path):
 
 def test_cifar_save_validation(tmp_path):
     with pytest.raises(DimensionError):
-        data.save_cifar10_file(tmp_path / "x.bin", np.zeros((1, 1, 32, 32)), np.zeros(1))
+        save_cifar10_file(tmp_path / "x.bin", np.zeros((1, 1, 32, 32)), np.zeros(1))
     with pytest.raises(ArgumentError):
-        data.save_cifar10_file(tmp_path / "x.bin", np.zeros((1, 3, 32, 32)),
-                               np.array([11]))
+        save_cifar10_file(tmp_path / "x.bin", np.zeros((1, 3, 32, 32)), np.array([11]))
 
 
 def test_cifar_missing_file(tmp_path):

@@ -1,5 +1,6 @@
-"""No module in the package or the tests imports a name it never uses, and
-no module-level name of the package goes unnamed outside its definition."""
+"""No module in the package or the tests imports a name it never uses, no
+module-level name of the package goes unnamed outside its definition, and
+the package reads every field of its result records."""
 
 import ast
 import re
@@ -42,6 +43,16 @@ def unnamed_definitions(source: str, texts: list[str]) -> list[str]:
     return [name for name in names if words[name] <= 1]
 
 
+def unread_fields(source: str, cls: str, texts: list[str]) -> list[str]:
+    """The annotated fields of class ``cls`` in ``source`` that no text in
+    ``texts`` reads as ``.field``."""
+    body = next(node.body for node in ast.parse(source).body
+                if isinstance(node, ast.ClassDef) and node.name == cls)
+    names = [n.target.id for n in body if isinstance(n, ast.AnnAssign)]
+    read = set(re.findall(r"\.(\w+)", "\n".join(texts)))
+    return [name for name in names if name not in read]
+
+
 def test_unused_imports_are_detected():
     src = "import os\nimport a.b\nfrom m import x as y, z\nif X:\n    import q\nos, a, z, X\n"
     assert sorted(unused_imports(src)) == ["q", "y"]
@@ -61,4 +72,17 @@ def test_every_package_definition_is_named_elsewhere():
     texts = [p.read_text() for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")]
     found = {p.name: unnamed_definitions(p.read_text(), texts)
              for p in sorted(ROOT.glob("src/gipip/*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_unread_fields_are_detected():
+    src = "class R:\n    'doc'\n    a: int\n    ab: int = 0\n    b: str\n"
+    assert unread_fields(src, "R", [src, "r.a + r.abc", "b"]) == ["ab", "b"]
+
+
+def test_every_result_field_is_read_in_the_package():
+    package = ROOT / "src" / "gipip"
+    texts = [p.read_text() for p in package.glob("*.py")]
+    found = {cls: unread_fields((package / module).read_text(), cls, texts)
+             for module, cls in (("attack.py", "AttackResult"), ("metrics.py", "MetricReport"))}
     assert {k: v for k, v in found.items() if v} == {}

@@ -174,9 +174,8 @@ def test_tv_gradient_matches_finite_differences():
 
 def _zero_output_ae():
     """An AE whose sigmoid head saturates to exactly 0 for any input."""
-    params = nn.init_autoencoder(seed=0, widths=(2, 2),
-                                 scheme=nn.InitScheme(kind="normal", sigma=0.0))
-    arrays = list(params.arrays)
+    params = nn.init_autoencoder(seed=0, widths=(2, 2))
+    arrays = [np.zeros_like(a) for a in params.arrays]
     arrays[params.names.index("dec2_b")] = np.full(3, -800.0)
     return params.with_values(arrays)
 
@@ -191,8 +190,8 @@ def test_as_loss_zero_output_ae_gives_input_norm():
 def test_as_loss_fixed_point_is_zero():
     # zero weights and biases make the head sigmoid(0) = 1/2 exactly, so a
     # constant one-half image is a true fixed point of the autoencoder
-    params = nn.init_autoencoder(seed=0, widths=(2, 2),
-                                 scheme=nn.InitScheme(kind="normal", sigma=0.0))
+    params = nn.init_autoencoder(seed=0, widths=(2, 2))
+    params = params.with_values(map(np.zeros_like, params.arrays))
     assert losses.as_loss(np.full((1, 3, 8, 8), 0.5), params) == 0.0
 
 

@@ -107,7 +107,7 @@ def test_evaluate_single_image_identity():
     assert rep.pairing == (0,)
     assert rep.psnr_inf_count == 1
     assert rep.mean_psnr == float("inf")
-    assert rep.ssim_values == (pytest.approx(1.0, abs=1e-12),)
+    assert rep.mean_ssim == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evaluate_recovers_permutation():
@@ -142,7 +142,7 @@ def test_assignment_permutation_invariant():
     recovered = np.clip(truth + 0.05 * rng.standard_normal(truth.shape), 0, 1)
     a = metrics.evaluate_batch(recovered, truth)
     b = metrics.evaluate_batch(recovered[[2, 0, 1]], truth)
-    assert sorted(a.psnr_values) == sorted(b.psnr_values)
+    assert b.pairing == tuple(a.pairing[i] for i in (2, 0, 1))
     assert a.mean_psnr == pytest.approx(b.mean_psnr, rel=1e-12)
 
 
@@ -203,4 +203,4 @@ def test_mean_psnr_excludes_inf_and_counts_it():
     recovered[0] = np.clip(truth[0] + 0.2, 0, 1)  # one inexact image
     rep = metrics.evaluate_batch(recovered, truth)
     assert rep.psnr_inf_count == 2
-    assert rep.mean_psnr == rep.psnr_values[0]
+    assert rep.mean_psnr == metrics.psnr(recovered[0], truth[rep.pairing[0]])

@@ -102,8 +102,8 @@ def _scores(params, batch):
 def test_fixed_point_scores_zero():
     # zero weights make the decoder head sigmoid(0) = 1/2; a constant
     # one-half batch is reconstructed exactly
-    params = nn.init_autoencoder(seed=0, widths=(2, 2),
-                                 scheme=nn.InitScheme(kind="normal", sigma=0.0))
+    params = nn.init_autoencoder(seed=0, widths=(2, 2))
+    params = params.with_values(map(np.zeros_like, params.arrays))
     assert np.array_equal(_scores(params, np.full((2, 3, 8, 8), 0.5)), [0.0, 0.0])
 
 
@@ -152,7 +152,7 @@ def test_model_file_size_formula(tmp_path):
     path = tmp_path / "m.bin"
     prior.save_model(path, params)
     want = 8 + 4
-    for name, a in params.items:
+    for name, a in zip(params.names, params.arrays):
         want += 2 + len(name.encode()) + 1 + 4 * a.ndim + 8 * a.size
     assert path.stat().st_size == want
 
@@ -207,7 +207,7 @@ def test_load_rejects_wrong_tensor_set(tmp_path):
 
 def test_load_rejects_duplicate_names(tmp_path):
     a = np.zeros((2, 3, 3, 3))
-    fake = SimpleNamespace(items=(("enc1_w", a), ("enc1_w", a)))
+    fake = SimpleNamespace(names=("enc1_w", "enc1_w"), arrays=(a, a))
     path = tmp_path / "m.bin"
     prior.save_model(path, fake)
     with pytest.raises(FormatError, match="duplicate"):
@@ -216,13 +216,10 @@ def test_load_rejects_duplicate_names(tmp_path):
 
 def test_load_rejects_inconsistent_shapes(tmp_path):
     params = nn.init_autoencoder(seed=10, widths=(2, 2))
-    items = []
-    for name, a in params.items:
-        if name == "dec1_w":
-            a = np.zeros((2, 7, 3, 3))  # wrong fan-in for width 2
-        items.append((name, a))
+    arrays = list(params.arrays)
+    arrays[params.names.index("dec1_w")] = np.zeros((2, 7, 3, 3))  # wrong fan-in for width 2
     path = tmp_path / "m.bin"
-    prior.save_model(path, SimpleNamespace(items=tuple(items)))
+    prior.save_model(path, SimpleNamespace(names=params.names, arrays=arrays))
     with pytest.raises(FormatError, match="dec1_w"):
         prior.load_model(path)
 

@@ -600,4 +600,4 @@ def test_gradient_vector_validation():
         GradientVector(("a", "a"), (t, t))
     gv = GradientVector(("a",), (t,))
     with pytest.raises(ArgumentError):
-        gv.segment("b")
+        gv.array("b")
